@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 
 /** End-to-end BClean pipeline (Figure 2): BN construction → compensatory
@@ -51,30 +50,17 @@ object BClean {
   ): Inference.Model = {
     val effUcs = if (cfg.inference.useUc) ucs else UcSet.empty
     val dag0 = presetDag.getOrElse(StructureLearner.learn(dirty, attrs, cfg.structure))
-    val bn0 = BayesNet.learn(dirty, attrs, dag0, cfg.cptAlpha)
+    // Everything below is derived on the driver from this one aggregation.
+    val stats = Stats.compute(dirty, attrs, effUcs, cfg.score)
+    val bn0 = BayesNet.learn(stats, dag0, cfg.cptAlpha)
     // Section 7.3.2: the user inspects the learned network and adjusts it
     // with lightweight domain knowledge (FD-shaped edges).
-    val bn = if (userEdits.isEmpty) bn0 else BayesNet.applyUserEdits(dirty, bn0, userEdits)
-    val dag = bn.dag
-    val withConf =
-      CompensatoryScore.withConfidence(dirty, attrs, effUcs, cfg.score.lambda).cache()
-    val corr = CompensatoryScore.collect(
-      CompensatoryScore.corrTable(withConf, attrs, cfg.score.tau, cfg.score.beta))
-    // Mean per-tuple weight (1 for conf ≥ τ, −β below) — the centering scale.
-    val avgW = {
-      import org.apache.spark.sql.functions.{avg, when, col => c}
-      withConf.agg(avg(when(c("conf") >= cfg.score.tau, 1.0).otherwise(-cfg.score.beta)))
-        .collect()(0).getDouble(0)
-    }
-    val co = CoOccurrence.compute(dirty, attrs)
-    val domains: Map[Int, IndexedSeq[String]] = attrs.indices.map { i =>
-      i -> dirty.select(col(attrs(i))).na.fill("").distinct().collect()
-        .map(r => Values.norm(r.getString(0))).toIndexedSeq
-    }.toMap
+    val bn = if (userEdits.isEmpty) bn0 else BayesNet.applyUserEdits(stats, bn0, userEdits)
+    val domains = stats.domains
     val pruned =
-      if (cfg.inference.domainPruning) DomainPruning.prune(domains, co, dag, cfg.inference.topK)
+      if (cfg.inference.domainPruning) DomainPruning.prune(domains, stats.co, bn.dag, cfg.inference.topK)
       else domains
-    Inference.Model(attrs, bn, corr, co, domains, pruned, effUcs, cfg.inference, cfg.score, avgW)
+    Inference.Model(attrs, bn, stats.corr, stats.co, domains, pruned, effUcs, cfg.inference, cfg.score)
   }
 
   /** Clean a dirty relation: returns a DataFrame with the same schema where

@@ -103,38 +103,44 @@ final case class BayesNet(
 object BayesNet {
 
   /** Parameter learning for a given skeleton (Section 4). */
-  def learn(df: DataFrame, attrs: Seq[String], dag: Dag, alpha: Double = 0.05): BayesNet = {
-    val cpts = Cpt.learnAll(df, attrs, dag, alpha)
-    val priors = attrs.indices.map(v => v -> Cpt.prior(df, attrs(v), alpha)).toMap
-    BayesNet(attrs, dag, cpts, priors, alpha)
+  def learn(df: DataFrame, attrs: Seq[String], dag: Dag, alpha: Double = 0.05): BayesNet =
+    learn(Stats.compute(df, attrs), dag, alpha)
+
+  def learn(stats: Stats, dag: Dag, alpha: Double): BayesNet = {
+    val priors = stats.attrs.indices.map(v => v -> Cpt.prior(stats, v, alpha)).toMap
+    BayesNet(stats.attrs, dag, Cpt.learnAll(stats, dag, alpha), priors, alpha)
   }
+
+  def applyUserEdits(df: DataFrame, bn0: BayesNet, desired: Seq[(Int, Int)]): BayesNet =
+    applyUserEdits(Stats.compute(df, bn0.attrs), bn0, desired)
 
   /** User interaction (Section 7.3.2): reconcile the learned network with a
     * set of user-desired edges. For each desired edge u→v: a conflicting
     * reverse edge v→u is removed (the user corrects the direction); if adding
     * would still close a longer cycle the edit is skipped; otherwise the edge
-    * is added. CPTs of touched children are recomputed incrementally.
+    * is added. CPTs of touched children are re-derived from `stats`, so
+    * edits run no Spark job.
     */
-  def applyUserEdits(df: DataFrame, bn0: BayesNet, desired: Seq[(Int, Int)]): BayesNet =
+  def applyUserEdits(stats: Stats, bn0: BayesNet, desired: Seq[(Int, Int)]): BayesNet =
     desired.foldLeft(bn0) { case (bn, (u, v)) =>
       if (bn.dag.hasEdge(u, v)) bn
       else {
-        val afterRemove = if (bn.dag.hasEdge(v, u)) edit(df, bn, add = Nil, remove = Seq((v, u))) else bn
+        val afterRemove = if (bn.dag.hasEdge(v, u)) edit(stats, bn, add = Nil, remove = Seq((v, u))) else bn
         if (afterRemove.dag.reaches(v, u)) afterRemove // would close a cycle — skip
-        else edit(df, afterRemove, add = Seq((u, v)))
+        else edit(stats, afterRemove, add = Seq((u, v)))
       }
     }
 
-  /** User interaction (Section 4): apply edge edits and recompute only the
+  /** User interaction (Section 4): apply edge edits and re-derive only the
     * CPTs of nodes whose parent set changed — not all attributes.
     */
-  def edit(df: DataFrame, bn: BayesNet, add: Seq[(Int, Int)], remove: Seq[(Int, Int)] = Nil): BayesNet = {
+  def edit(stats: Stats, bn: BayesNet, add: Seq[(Int, Int)], remove: Seq[(Int, Int)] = Nil): BayesNet = {
     val newDag0 = remove.foldLeft(bn.dag) { case (d, (u, v)) => d.removeEdge(u, v) }
     val newDag = add.foldLeft(newDag0) { case (d, (u, v)) => d.addEdge(u, v) }
     val touched = (add ++ remove).map(_._2).distinct
     val cpts = (bn.cpts -- touched.filter(newDag.parents(_).isEmpty)) ++
       touched.filter(newDag.parents(_).nonEmpty).map { v =>
-        v -> newDag.parents(v).map(p => Cpt.learn(df, bn.attrs, p, v, bn.priorAlpha))
+        v -> newDag.parents(v).map(p => Cpt.learn(stats, p, v, bn.priorAlpha))
       }
     bn.copy(dag = newDag, cpts = cpts)
   }

@@ -1,13 +1,14 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Raw (un-weighted) value statistics shared by tuple pruning (Section 6.2),
   * the Garf-like rule miner, and the Raha+Baran-like corrector:
   *
   *  - unary counts  count(v) per attribute,
   *  - pair counts   count(v_i, v_j) per ordered attribute pair.
+  *
+  * Both are projections of `Stats`; NULL (the empty string) is counted.
   */
 final case class CoOccurrence(
     nRows: Long,
@@ -42,29 +43,5 @@ final case class CoOccurrence(
 
 object CoOccurrence {
 
-  /** One distributed pass for unary counts, one pair-explode for pair counts. */
-  def compute(df: DataFrame, attrs: Seq[String]): CoOccurrence = {
-    val nRows = df.count()
-    val filled = df.na.fill("", attrs)
-    val unary = attrs.indices.map { i =>
-      i -> filled.groupBy(col(attrs(i))).count().collect()
-        .map(r => Values.norm(r.getString(0)) -> r.getLong(1)).toMap
-    }.toMap
-    val pairStructs = for {
-      i <- attrs.indices
-      j <- attrs.indices if i != j
-    } yield struct(lit(i) as "ai", lit(j) as "aj", col(attrs(i)) as "vi", col(attrs(j)) as "vj")
-    val pairRows = filled
-      .select(explode(array(pairStructs: _*)) as "p")
-      .select(col("p.ai"), col("p.aj"), col("p.vi"), col("p.vj"))
-      .groupBy("ai", "aj", "vi", "vj")
-      .count()
-      .collect()
-    val pairs = pairRows
-      .groupBy(r => (r.getInt(0), r.getInt(1)))
-      .map { case (k, rows) =>
-        k -> rows.iterator.map(r => (r.getString(2), r.getString(3)) -> r.getLong(4)).toMap
-      }
-    CoOccurrence(nRows, unary, pairs)
-  }
+  def compute(df: DataFrame, attrs: Seq[String]): CoOccurrence = Stats.compute(df, attrs).co
 }

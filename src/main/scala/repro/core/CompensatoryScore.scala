@@ -11,9 +11,8 @@ import org.apache.spark.sql.functions._
   * tuples whose UC-based confidence (Eq. 3) is ≥ τ and −β otherwise, divided
   * by |D|.
   *
-  * Both stages are expressed as DataFrame aggregations so they scale with the
-  * relation: confidence is a per-row expression; the corr table is an
-  * attribute-pair explode followed by a groupBy/sum.
+  * Confidence is a per-row DataFrame expression; the corr table is the
+  * Σ weight column of the one `Stats` aggregation.
   */
 object CompensatoryScore {
 
@@ -36,44 +35,21 @@ object CompensatoryScore {
   }
 
   /** The corr table of Algorithm 2 as a DataFrame with columns
-    * (ai, aj, c, e, w): for each ordered attribute pair (A_i, A_j) and value
-    * pair (c, e), w = Σ_T (1[conf ≥ τ] − β·1[conf < τ]).  Normalization by
-    * |D| happens at lookup time.
+    * (ai, aj, c, e, w): for each ordered attribute pair (A_i, A_j), i ≠ j,
+    * and non-NULL value pair (c, e), w = Σ_T weight(conf(T)). A projection
+    * of `Stats.aggregate`, so it sums exactly as `Stats.compute` does.
+    * Normalization by |D| happens at lookup time.
     */
-  def corrTable(dfWithConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame = {
-    val w = weightExpr(col("conf"), tau, beta)
-    val pairs = for {
-      i <- attrs.indices
-      j <- attrs.indices if i != j
-    } yield struct(
-      lit(i) as "ai",
-      lit(j) as "aj",
-      coalesce(col(attrs(i)), lit("")) as "c",
-      coalesce(col(attrs(j)), lit("")) as "e",
-    )
-    dfWithConf
-      .select(explode(array(pairs: _*)) as "p", w as "w")
-      .select(col("p.ai"), col("p.aj"), col("p.c"), col("p.e"), col("w"))
-      // NULL is not an observation: pairs with an empty side carry no
-      // co-occurrence signal (and at a 30% missing rate they would dominate
-      // the table with noise).
-      .where(col("c") =!= "" && col("e") =!= "")
-      .groupBy("ai", "aj", "c", "e")
-      .agg(sum("w") as "w")
-  }
+  def corrTable(dfWithConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame =
+    Stats.aggregate(dfWithConf, attrs, tau, beta)
+      .where(col("ai") =!= col("aj") && col("c") =!= Values.Null && col("e") =!= Values.Null)
+      .select("ai", "aj", "c", "e", "w")
 
   /** Collect the corr table into a broadcast-friendly nested map:
     * (ai, aj) → ((c, e) → w). Zero-weight entries are dropped.
     */
   def collect(corrDf: DataFrame): Map[(Int, Int), Map[(String, String), Double]] =
-    corrDf.collect()
-      .groupBy(r => (r.getInt(0), r.getInt(1)))
-      .map { case (k, rows) =>
-        k -> rows.iterator
-          .map(r => (r.getString(2), r.getString(3)) -> r.getDouble(4))
-          .filter(_._2 != 0.0)
-          .toMap
-      }
+    Stats.corrOf(corrDf.collect().toSeq.map(r => (r.getInt(0), r.getInt(1), r.getString(2), r.getString(3), r.getDouble(4))))
 
   /** Score_corr(c, t, A_j) from the collected corr map (Eq. 2), normalized by
     * the relation size.
@@ -112,37 +88,6 @@ object CompensatoryScore {
 
   private[core] def weightExpr(conf: Column, tau: Double, beta: Double): Column =
     when(conf >= tau, 1.0).otherwise(lit(-beta) * (lit(tau) - conf) / math.max(tau, 1e-9))
-
-  /** Centered Score_corr: each pair's weight is reduced by its expectation
-    * under attribute independence, avgW · count(c)·count(e) / n — i.e., the
-    * *lift* of the pair. Raw co-occurrence hands every candidate free mass
-    * from near-constant context attributes (country, ounces, …); the lift
-    * cancels it exactly while preserving genuine FD-style dependence.
-    * avgW is the mean per-tuple confidence weight (1 or −β), so the
-    * expectation lives on the same scale as the weighted counts.
-    */
-  def scoreCorrCentered(
-      corr: Map[(Int, Int), Map[(String, String), Double]],
-      co: CoOccurrence,
-      avgW: Double,
-      j: Int,
-      c: String,
-      t: Array[String],
-  ): Double = {
-    val n = math.max(co.nRows, 1L).toDouble
-    val cntC = co.count(j, c).toDouble
-    var s = 0.0
-    var k = 0
-    while (k < t.length) {
-      if (k != j) {
-        val observed = corr.get((j, k)).flatMap(_.get((c, t(k)))).getOrElse(0.0)
-        val expected = avgW * cntC * co.count(k, t(k)).toDouble / n
-        s += observed - expected
-      }
-      k += 1
-    }
-    s / n
-  }
 
   /** The paper combines scores as log(BN) + log(CS). Score_corr may be ≤ 0
     * (β-penalties), where a raw log is undefined; since only the relative

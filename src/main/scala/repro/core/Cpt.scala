@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 
 /** Per-edge conditional probability table (Section 2: "CPTs θ that weight the
@@ -9,7 +7,8 @@ import repro.graph.Dag
   * (dirty) relation with Laplace smoothing — errors are modeled as part of
   * the distribution. Pairwise tables stay dense under dirty co-parents,
   * unlike joint multi-parent tables whose combos go unseen the moment any
-  * one parent cell is corrupted.
+  * one parent cell is corrupted. Tables and priors are projections of the
+  * pair and unary counts of `Stats`.
   *
   * @param parent  attribute index of the edge's source
   * @param child   attribute index of the edge's target
@@ -40,31 +39,27 @@ final case class Cpt(
 
 object Cpt {
 
-  /** Learn the per-edge CPT parent → child by a distributed groupBy. */
-  def learn(df: DataFrame, attrs: Seq[String], parent: Int, child: Int, alpha: Double = 0.05): Cpt = {
-    val pCol = attrs(parent); val cCol = attrs(child)
-    val domSize = df.select(col(cCol)).na.fill("").distinct().count().toInt
-    val grouped = df.na.fill("", Seq(pCol, cCol)).groupBy(col(pCol), col(cCol)).count().collect()
-    val table = grouped
-      .groupBy(r => Values.norm(r.getString(0)))
-      .map { case (pv, rows) =>
-        val counts = rows.map(r => Values.norm(r.getString(1)) -> r.getLong(2)).toMap
+  /** The per-edge CPT parent → child, from the pair counts of `stats`. */
+  def learn(stats: Stats, parent: Int, child: Int, alpha: Double = 0.05): Cpt = {
+    val table = stats.pairs.getOrElse((parent, child), Map.empty[(String, String), Long])
+      .groupBy(_._1._1)
+      .map { case (pv, cells) =>
+        val counts = cells.map { case ((_, cv), n) => cv -> n }
         pv -> (counts, counts.values.sum)
       }
-    Cpt(parent, child, table, domSize, alpha)
+    Cpt(parent, child, table, stats.unary(child).size, alpha)
   }
 
-  /** Learn all edge CPTs of a DAG, keyed by child. */
-  def learnAll(df: DataFrame, attrs: Seq[String], dag: Dag, alpha: Double = 0.05): Map[Int, Seq[Cpt]] =
-    attrs.indices
-      .map(v => v -> dag.parents(v).map(p => learn(df, attrs, p, v, alpha)))
+  /** All edge CPTs of a DAG, keyed by child. */
+  def learnAll(stats: Stats, dag: Dag, alpha: Double = 0.05): Map[Int, Seq[Cpt]] =
+    stats.attrs.indices
+      .map(v => v -> dag.parents(v).map(p => learn(stats, p, v, alpha)))
       .filter(_._2.nonEmpty)
       .toMap
 
   /** Prior (marginal) distribution of one attribute, Laplace-smoothed. */
-  def prior(df: DataFrame, attr: String, alpha: Double = 1.0): Map[String, Double] = {
-    val counts = df.na.fill("", Seq(attr)).groupBy(col(attr)).count().collect()
-      .map(r => Values.norm(r.getString(0)) -> r.getLong(1)).toMap
+  def prior(stats: Stats, attr: Int, alpha: Double = 1.0): Map[String, Double] = {
+    val counts = stats.unary(attr)
     val total = counts.values.sum.toDouble
     val dom = counts.size
     counts.map { case (v, c) => v -> (c + alpha) / (total + alpha * dom) }

@@ -11,10 +11,18 @@ import repro.graph.Dag
   * contain v and count(v, D) is v's global occurrence count. Only the top-K
   * candidates per attribute survive. Attributes outside every sub-network
   * (isolated nodes) fall back to frequency-ranked top-K.
+  *
+  * Ties in (score, frequency) keep the order of the input domain, so the
+  * kept set is only reproducible if that order is. `Stats.domain` gives the
+  * canonical one: count descending, then value. (Spark's `distinct()` order
+  * would change with `spark.sql.shuffle.partitions`; on an all-distinct
+  * column such as Beers' `Id` every value ties and that order alone would
+  * pick the top-K.)
   */
 object DomainPruning {
 
-  /** @param domains   full per-attribute domains (distinct observed values)
+  /** @param domains   full per-attribute domains (distinct observed values,
+    *                  in canonical order; see `Stats.domain`)
     * @param co        co-occurrence stats (for count(v, D) and frequency ties)
     * @param dag       the learned BN (defines the sub-networks)
     * @param topK      candidates kept per attribute

@@ -38,7 +38,6 @@ object Inference {
       ucs: UcSet,
       cfg: Config,
       scoreParams: CompensatoryScore.Params = CompensatoryScore.Params(),
-      avgW: Double = 1.0, // mean per-tuple confidence weight (for centering)
   ) extends Serializable {
 
     /** The tuple's own contribution to every corr entry it touches: +1 when
@@ -66,6 +65,8 @@ object Inference {
         model.co.filterScore(t, j) >= cfg.tauClean
       if (!skip) {
         val uc = if (cfg.useUc) model.ucs(model.attrs(j)) else UserConstraint.Unconstrained
+        // Canonical domain order (see `Stats.domain`): the strict `>` below
+        // lets the earliest of equally scored candidates win.
         val base = if (cfg.domainPruning) model.prunedDomains(j) else model.domains(j)
         // Repair only past a margin over the incumbent — pre-detection in the
         // sense of Section 6.2: a cell whose observed value is statistically

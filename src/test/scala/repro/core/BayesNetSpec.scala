@@ -59,7 +59,7 @@ class BayesNetSpec extends SparkSpec {
   }
 
   test("edit: adding an edge recomputes only the touched CPT") {
-    val edited = BayesNet.edit(df, bn, add = Seq((0, 2)))
+    val edited = BayesNet.edit(Stats.compute(df, attrs), bn, add = Seq((0, 2)))
     assert(edited.dag.parents(2) == Seq(0, 1))
     assert(edited.cpts(2).map(_.parent).sorted == Seq(0, 1))
     // Untouched node 1 keeps its identical CPT objects.
@@ -67,12 +67,12 @@ class BayesNetSpec extends SparkSpec {
   }
 
   test("edit: removing the only edge drops the CPT") {
-    val edited = BayesNet.edit(df, bn, add = Nil, remove = Seq((1, 2)))
+    val edited = BayesNet.edit(Stats.compute(df, attrs), bn, add = Nil, remove = Seq((1, 2)))
     assert(edited.dag.parents(2).isEmpty)
     assert(!edited.cpts.contains(2))
   }
 
   test("edit: cycle-creating addition is rejected") {
-    intercept[IllegalArgumentException](BayesNet.edit(df, bn, add = Seq((2, 0))))
+    intercept[IllegalArgumentException](BayesNet.edit(Stats.compute(df, attrs), bn, add = Seq((2, 0))))
   }
 }

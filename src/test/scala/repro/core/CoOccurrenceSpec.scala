@@ -6,7 +6,7 @@ class CoOccurrenceSpec extends SparkSpec {
 
   private val attrs = Fixtures.fdAttrs
   private lazy val df = Fixtures.fdTable(spark, 100)
-  private lazy val co = CoOccurrence.compute(df, attrs)
+  private lazy val co = Stats.compute(df, attrs).co
 
   test("nRows is the relation size") {
     assert(co.nRows == 100L)
@@ -17,21 +17,16 @@ class CoOccurrenceSpec extends SparkSpec {
   }
 
   test("unary counts match DuckDB") {
-    import org.apache.spark.sql.functions._
-    val counts = df.groupBy(col("state")).agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(counts,
+    import spark.implicits._
+    Oracle.assertEquivalent(co.unary(2).toSeq.toDF("state", "cnt"),
       "SELECT state, count(*) AS cnt FROM t GROUP BY state", "t" -> df)
-    val duck = counts.collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-    assert(co.unary(2) == duck)
   }
 
   test("pair counts match DuckDB") {
-    import org.apache.spark.sql.functions._
-    val counts = df.groupBy(col("code"), col("state")).agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(counts,
+    import spark.implicits._
+    val pairs = co.pairs((0, 2)).toSeq.map { case ((c, s), n) => (c, s, n) }
+    Oracle.assertEquivalent(pairs.toDF("code", "state", "cnt"),
       "SELECT code, state, count(*) AS cnt FROM t GROUP BY code, state", "t" -> df)
-    val duck = counts.collect().map(r => (r.getString(0), r.getString(1)) -> r.getLong(2)).toMap
-    assert(co.pairs((0, 2)) == duck)
   }
 
   test("pair counts are symmetric under key swap") {
@@ -58,7 +53,7 @@ class CoOccurrenceSpec extends SparkSpec {
 
   test("filterScore on dirty relation separates clean from corrupted cells") {
     val dirty = Fixtures.fdTableDirty(spark, 120)
-    val codirty = CoOccurrence.compute(dirty, attrs)
+    val codirty = Stats.compute(dirty, attrs).co
     val rows = dirty.collect().map(r => (r.getLong(0), Array(r.getString(1), Values.norm(r.getString(2)), r.getString(3))))
     val typoRow = rows.find(_._1 == 0L).get._2 // city typo'd
     val cleanRow = rows.find(_._1 == 50L).get._2

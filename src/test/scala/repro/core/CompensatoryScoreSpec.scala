@@ -12,6 +12,7 @@ class CompensatoryScoreSpec extends SparkSpec {
     "city" -> UC.All(Seq(UC.NotNull, UC.Length(3, 10))),
     "state" -> UC.All(Seq(UC.NotNull, UC.Length(2, 2))),
   ))
+  private lazy val stats = Stats.compute(dirty, attrs, ucs, CompensatoryScore.Params(lambda = 1.0, beta = 2.0, tau = 0.5))
 
   test("confidence is 1 for a fully satisfying tuple") {
     val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, lambda = 1.0)
@@ -42,28 +43,35 @@ class CompensatoryScoreSpec extends SparkSpec {
     val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, lambda = 1.0)
     val corr = CompensatoryScore.corrTable(wc, attrs, tau = 0.5, beta = 2.0)
     // Reproduce one attribute pair (code, city) = (ai=0, aj=1) in DuckDB.
-    val sparkPair = corr.where(corr("ai") === 0 && corr("aj") === 1)
-      .selectExpr("c", "e", "cast(w as double) as w")
-    Oracle.assertEquivalent(
-      sparkPair,
+    val sql =
       """SELECT code AS c, city AS e,
          sum(CASE WHEN CAST(conf AS DOUBLE) >= 0.5 THEN 1.0
                   ELSE -2.0 * (0.5 - CAST(conf AS DOUBLE)) / 0.5 END) AS w
-         FROM t WHERE code <> '' AND city <> '' GROUP BY code, city""",
-      "t" -> wc.selectExpr("coalesce(code,'') as code", "coalesce(city,'') as city", "conf"))
+         FROM t WHERE code <> '' AND city <> '' GROUP BY code, city"""
+    val t = wc.selectExpr("coalesce(code,'') as code", "coalesce(city,'') as city", "conf")
+    val sparkPair = corr.where(corr("ai") === 0 && corr("aj") === 1)
+      .selectExpr("c", "e", "cast(w as double) as w")
+    Oracle.assertEquivalent(sparkPair, sql, "t" -> t)
+    // The same sums as collected by Stats, zero-weight entries dropped.
+    import spark.implicits._
+    val statsPair = stats.corr((0, 1)).toSeq.map { case ((c, e), w) => (c, e, w) }.toDF("c", "e", "w")
+    Oracle.assertEquivalent(statsPair, s"SELECT * FROM ($sql) WHERE w <> 0", "t" -> t)
   }
 
   test("collect drops zero-weight entries and keys by attribute pair") {
     val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, lambda = 1.0)
     val m = CompensatoryScore.collect(CompensatoryScore.corrTable(wc, attrs, 0.5, 2.0))
-    assert(m.keys.forall { case (i, j) => i != j && i >= 0 && j >= 0 && i < 3 && j < 3 })
-    assert(m.values.forall(_.values.forall(_ != 0.0)))
+    Seq(m, stats.corr).foreach { corr =>
+      assert(corr.keys.forall { case (i, j) => i != j && i >= 0 && j >= 0 && i < 3 && j < 3 })
+      assert(corr.values.forall(_.values.forall(_ != 0.0)))
+    }
+    // corrTable is a projection of the Stats aggregation: bit-identical sums.
+    assert(m == stats.corr)
   }
 
   test("scoreCorr accumulates over context attributes (Eq. 2)") {
-    val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, lambda = 1.0)
-    val corr = CompensatoryScore.collect(CompensatoryScore.corrTable(wc, attrs, 0.5, 2.0))
-    val n = dirty.count()
+    val corr = stats.corr
+    val n = stats.nRows
     val t = Array("c01", "akron", "oh")
     val s = CompensatoryScore.scoreCorr(corr, n, 1, "akron", t)
     val manual = (corr.get((1, 0)).flatMap(_.get(("akron", "c01"))).getOrElse(0.0) +
@@ -73,9 +81,8 @@ class CompensatoryScoreSpec extends SparkSpec {
   }
 
   test("the observed correct value outscores a rare typo (Example 2/3 shape)") {
-    val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, lambda = 1.0)
-    val corr = CompensatoryScore.collect(CompensatoryScore.corrTable(wc, attrs, 0.5, 2.0))
-    val n = dirty.count()
+    val corr = stats.corr
+    val n = stats.nRows
     // Tuple 0 has a typo'd city; the clean city must outscore the typo.
     val t0 = dirty.where(dirty("_tid") === 0L).collect()(0)
     val t = attrs.indices.map(i => Values.norm(t0.getString(i + 1))).toArray

@@ -1,0 +1,122 @@
+package repro.core
+
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
+import repro.SparkSpec
+import repro.core.{UserConstraint => UC}
+import repro.data.Benchmarks
+import repro.graph.Dag
+import scala.jdk.CollectionConverters._
+
+class StatsSpec extends SparkSpec {
+
+  private val attrs = Fixtures.fdAttrs
+  private lazy val dirty = Fixtures.fdTableDirty(spark, 120)
+  private val ucs = UcSet(Map(
+    "code" -> UC.All(Seq(UC.NotNull, UC.Pattern("c[0-9]{2}"))),
+    "city" -> UC.All(Seq(UC.NotNull, UC.Length(3, 10))),
+    "state" -> UC.All(Seq(UC.NotNull, UC.Length(2, 2))),
+  ))
+  private lazy val stats = Stats.compute(dirty, attrs, ucs)
+
+  /** The result of `f` and the number of Spark jobs it started. */
+  private def jobsOf[A](f: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val a = f
+      ListenerBusAccess.drain(sc)
+      (a, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("NULL is counted in the co-occurrence statistics but not in corr") {
+    // Tuple 1 has city = "".
+    val code1 = dirty.where("_tid = 1").collect()(0).getString(1)
+    assert(stats.unary(1)(Values.Null) == 1L)
+    assert(stats.pairs((0, 1))((code1, Values.Null)) == 1L)
+    assert(stats.corr.values.forall(_.keys.forall { case (c, e) => !Values.isNull(c) && !Values.isNull(e) }))
+  }
+
+  test("the diagonal gives unary counts that sum to nRows") {
+    assert(stats.nRows == 120L)
+    attrs.indices.foreach(i => assert(stats.unary(i).values.sum == 120L))
+    assert(stats.pairs.keys.forall { case (i, j) => i != j })
+  }
+
+  test("domains are in canonical order: count descending, then value") {
+    attrs.indices.foreach { j =>
+      val dom = stats.domain(j)
+      assert(dom.toSet == stats.unary(j).keySet)
+      val keys = dom.map(v => (-stats.unary(j)(v), v))
+      assert(keys == keys.sorted)
+    }
+  }
+
+  test("a one-attribute relation has no pairs but unary counts, priors and domains") {
+    import spark.implicits._
+    val df = Seq((0L, "a"), (1L, "b"), (2L, "a"), (3L, "")).toDF("_tid", "x")
+    val s = Stats.compute(df, Seq("x"))
+    assert(s.nRows == 4L)
+    assert(s.pairs.isEmpty && s.corr.isEmpty)
+    assert(s.unary == Map(0 -> Map("a" -> 2L, "b" -> 1L, "" -> 1L)))
+    assert(s.domain(0) == IndexedSeq("a", "", "b"))
+    val bn = BayesNet.learn(s, Dag.empty(1), alpha = 0.0)
+    assert(bn.cpts.isEmpty)
+    assert(bn.priors(0) == Map("a" -> 0.5, "b" -> 0.25, "" -> 0.25))
+  }
+
+  test("applyUserEdits from Stats starts no Spark job") {
+    val bn0 = BayesNet.learn(stats, Dag(3, Map((0, 1) -> 1.0)), alpha = 0.05)
+    val (bn, jobs) = jobsOf(BayesNet.applyUserEdits(stats, bn0, Seq((1, 2), (0, 2), (1, 0))))
+    assert(jobs == 0)
+    assert(bn.dag.parents(2).sorted == Seq(0, 1))
+    // Same CPTs as re-learning the edited network from scratch.
+    assert(bn.cpts == BayesNet.learn(stats, bn.dag, alpha = 0.05).cpts)
+  }
+
+  test("buildModel starts at most two jobs beyond structure learning") {
+    val cfg = BClean.Config.pip
+    val (_, structureJobs) = jobsOf(StructureLearner.learn(dirty, attrs, cfg.structure))
+    val (_, modelJobs) = jobsOf(BClean.buildModel(dirty, attrs, ucs, cfg, userEdits = Seq((0, 1), (1, 2))))
+    assert(modelJobs <= structureJobs + 2, s"structure $structureJobs jobs, model $modelJobs jobs")
+  }
+
+  test("the model and the PIP output do not depend on spark.sql.shuffle.partitions") {
+    val keep = Seq("Id", "Ounces", "Abv", "BreweryId", "City")
+    val beers = Benchmarks.beers(spark, rows = 300, seed = 3)
+    val cols = "_tid" +: keep
+    // A local relation: the input partitioning is fixed, only the shuffle changes.
+    val rows = beers.dirty.selectExpr(cols: _*).collect().sortBy(_.getLong(0)).toSeq
+    val df = spark.createDataFrame(rows.asJava, beers.dirty.selectExpr(cols: _*).schema)
+    val ucs = UcSet(beers.ucs.byAttr.filter { case (a, _) => keep.contains(a) })
+    // Structure learning pairs neighbours within sorted partitions, so the
+    // DAG is fixed here and the statistics layers are compared alone.
+    val dag = Dag(keep.length, Map((3, 4) -> 1.0, (3, 0) -> 1.0))
+    val cfg = BClean.Config.pip.copy(inference = BClean.Config.pip.inference.copy(topK = 16))
+    val prev = spark.conf.get("spark.sql.shuffle.partitions")
+    def run(partitions: Int): (Inference.Model, Seq[Seq[String]]) = {
+      spark.conf.set("spark.sql.shuffle.partitions", partitions.toString)
+      val model = BClean.buildModel(df, keep, ucs, cfg, presetDag = Some(dag), userEdits = Seq((3, 2)))
+      val out = Inference.clean(df, model).collect().sortBy(_.getLong(0)).map(r => keep.map(r.getAs[String]))
+      (model, out.toSeq)
+    }
+    try {
+      val (m1, out1) = run(1)
+      val (m8, out8) = run(8)
+      assert(m1.domains == m8.domains)
+      assert(m1.prunedDomains == m8.prunedDomains)
+      assert(m1.corr == m8.corr)
+      assert(m1.co == m8.co)
+      assert(m1.bn.cpts == m8.bn.cpts && m1.bn.priors == m8.bn.priors)
+      assert(out1 == out8)
+    } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
+  }
+}
