@@ -59,7 +59,7 @@ object PCleanLike {
       val (groups, typoCost) = bc.value
       def editLik(obs: String, latent: String): Double =
         if (Values.isNull(obs)) -2.0 // missing-observation likelihood
-        else -EditDistance.atMost(obs, latent, 8).toDouble / typoCost
+        else -EditDistance.lengthCapped(obs, latent, 8).toDouble / typoCost
       rows.map { row =>
         val t = Values.ofRow(row, attrIdx)
         val out = t.clone()

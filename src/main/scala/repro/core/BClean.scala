@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.types.StringType
 import repro.graph.Dag
 
 /** End-to-end BClean pipeline (Figure 2): BN construction → compensatory
@@ -48,6 +49,7 @@ object BClean {
       presetDag: Option[Dag] = None,
       userEdits: Seq[(Int, Int)] = Nil,
   ): Inference.Model = {
+    requireStringAttrs(dirty, attrs)
     val effUcs = if (cfg.inference.useUc) ucs else UcSet.empty
     val dag0 = presetDag.getOrElse(StructureLearner.learn(dirty, attrs, cfg.structure))
     // Everything below is derived on the driver from this one aggregation.
@@ -61,6 +63,22 @@ object BClean {
       if (cfg.inference.domainPruning) DomainPruning.prune(domains, stats.co, bn.dag, cfg.inference.topK)
       else domains
     Inference.Model(attrs, bn, stats.corr, stats.co, domains, pruned, effUcs, cfg.inference, cfg.score)
+  }
+
+  /** Every attribute is read as a string (`Values.ofRow`, structure learning);
+    * fail here with the column's name rather than inside a Spark task.
+    */
+  private def requireStringAttrs(df: DataFrame, attrs: Seq[String]): Unit = {
+    val types = df.schema.fields.map(f => f.name -> f.dataType).toMap
+    attrs.foreach { a =>
+      types.get(a) match {
+        case None => throw new IllegalArgumentException(
+          s"attribute column '$a' does not exist; columns: ${df.columns.mkString(", ")}")
+        case Some(_: StringType) =>
+        case Some(t) => throw new IllegalArgumentException(
+          s"attribute column '$a' has type ${t.simpleString}; BClean cleans string columns only, cast it to string first")
+      }
+    }
   }
 
   /** Clean a dirty relation: returns a DataFrame with the same schema where

@@ -59,6 +59,7 @@ object Inference {
     val cfg = model.cfg
     val m = model.attrs.length
     val out = t.clone()
+    val selfW = model.selfWeight(t)
     var j = 0
     while (j < m) {
       val skip = cfg.tuplePruning && !Values.isNull(t(j)) &&
@@ -76,7 +77,6 @@ object Inference {
         val incumbentNull = Values.isNull(t(j))
         val incumbentOk = incumbentNull || uc.holds(t(j))
         val margin = if (incumbentOk && !incumbentNull) cfg.repairMargin else 0.0
-        val selfW = model.selfWeight(t)
         var bestC = t(j)
         var bestP = score(model, j, bestC, t, selfW) + margin
         var secondP = Double.NegativeInfinity

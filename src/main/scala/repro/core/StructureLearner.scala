@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.Partitioner
+import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 import repro.linalg.{GraphicalLasso, Mat}
@@ -17,9 +18,10 @@ import repro.text.Similarity
   * Ghoshal–Honorio) to recover the autoregression matrix B. Entries of B with
   * |weight| ≥ threshold become directed BN edges.
   *
-  * Approximation note (documented in DESIGN.md): adjacent pairs are formed
-  * inside each partition after a global sort, so the p−1 pairs straddling
-  * partition boundaries are dropped — immaterial at n ≫ p.
+  * The pairs are exact: every attribute's sorted block lies in one
+  * partition, so all m·(n−1) adjacent pairs are scored, and ties on the
+  * sorted attribute keep input row order. The whole pass — one shuffle for
+  * every attribute's sort plus the covariance fold — runs as one Spark job.
   */
 object StructureLearner {
 
@@ -40,35 +42,75 @@ object StructureLearner {
     }
   }
 
-  /** Adjacent-pair similarity observations, one sort per attribute (the FDX
-    * trick from the paper's Remarks: sorting brings equal-on-A pairs next to
-    * each other, so only 2n·m pairs are scored instead of n²).
-    * Returns a Dataset of m-dimensional similarity vectors.
+  /** Adjacent-pair similarity observations (the FDX trick from the paper's
+    * Remarks: sorting by A brings equal-on-A tuples next to each other, so
+    * only m·(n−1) pairs are scored instead of n²). Returns a Dataset of
+    * m-dimensional similarity vectors; partition k holds attribute k's block.
+    *
+    * One shuffle serves every attribute: each row is tagged with its input
+    * position (partition, row) and emitted once per attribute under the key
+    * (a, t[a], position). Partitioning on a and sorting within partitions
+    * lays attribute a's whole sorted block out as partition a.
     */
   def similarityObservations(df: DataFrame, attrs: Seq[String]): Dataset[Array[Double]] = {
     val spark = df.sparkSession
     import spark.implicits._
     val m = attrs.length
-    val projected = df.select(attrs.map(col): _*)
-    attrs.indices.map { a =>
-      projected.sort(col(attrs(a))).mapPartitions { rows =>
-        var prev: Array[String] = null
-        rows.flatMap { r =>
-          val cur = Array.tabulate(m)(i => Values.norm(r.getString(i)))
-          val out =
-            if (prev == null) Iterator.empty
-            else {
-              val p = prev
-              Iterator.single(Array.tabulate(m)(i => Similarity.value(p(i), cur(i))))
-            }
-          prev = cur
-          out
-        }
+    val keyed = df.select(attrs.map(col): _*).rdd.mapPartitionsWithIndex { (pid, rows) =>
+      var idx = -1L
+      rows.flatMap { r =>
+        idx += 1
+        val raw = Array.tabulate(m)(r.getString)
+        val cur = raw.map(Values.norm)
+        val pos = idx
+        Iterator.tabulate(m)(a => ((a, raw(a), pid, pos), cur))
       }
-    }.reduce(_ union _)
+    }
+    // Ties on t[a] keep input row order, as a stable sort would.
+    implicit val keyOrder: Ordering[(Int, String, Int, Long)] =
+      Ordering.Tuple4(Ordering.Int, SqlStringOrdering, Ordering.Int, Ordering.Long)
+    val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
+    spark.createDataset(blocks.mapPartitions { rows =>
+      var prev: Array[String] = null
+      rows.flatMap { case (_, cur) =>
+        val out =
+          if (prev == null) Iterator.empty
+          else {
+            val p = prev
+            Iterator.single(Array.tabulate(m)(i => Similarity.value(p(i), cur(i))))
+          }
+        prev = cur
+        out
+      }
+    })
   }
 
-  /** Empirical covariance of the observations via a single distributed pass. */
+  /** Sends key (a, …) to partition a: one partition per attribute. */
+  private final class AttributePartitioner(m: Int) extends Partitioner {
+    def numPartitions: Int = m
+    def getPartition(key: Any): Int = key match { case (a: Int, _, _, _) => a }
+  }
+
+  /** Spark SQL's ascending string order: NULL first, then UTF-8 byte order,
+    * which is code-point order (`String.compareTo` differs on surrogates).
+    */
+  private object SqlStringOrdering extends Ordering[String] {
+    def compare(x: String, y: String): Int =
+      if (x == null || y == null) java.lang.Boolean.compare(y == null, x == null)
+      else {
+        val n = math.min(x.length, y.length)
+        var i = 0
+        while (i < n && x.charAt(i) == y.charAt(i)) i += 1
+        if (i == n) Integer.compare(x.length, y.length)
+        else Integer.compare(x.codePointAt(i), y.codePointAt(i))
+      }
+  }
+
+  /** Empirical covariance of the observations via a single distributed pass.
+    * The per-partition moments are merged in partition order, so for the
+    * output of `similarityObservations` Σ is bit-identical whatever the
+    * shuffle-partition or core count.
+    */
   def covariance(obs: Dataset[Array[Double]], m: Int): Mat = {
     val spark = obs.sparkSession
     import spark.implicits._

@@ -28,9 +28,46 @@ object EditDistance {
     prev(s.length)
   }
 
-  /** Early-exit variant: returns > bound quickly when distance exceeds it. */
+  /** The full distance, but bound + 1 when the lengths alone differ by more
+    * than the bound. The PClean-like and Raha+Baran-like scores are defined
+    * on this; `atMost`, which caps every distance past the bound, would
+    * change their repairs.
+    */
+  def lengthCapped(a: String, b: String, bound: Int): Int =
+    if (math.abs(a.length - b.length) > bound) bound + 1 else apply(a, b)
+
+  /** Distance capped at the bound: min(d, bound + 1). Only the diagonal band
+    * |i − j| ≤ bound of the DP is filled (Ukkonen, 1985), and it stops as
+    * soon as a whole row exceeds the bound; O(bound · min(|a|, |b|)) time.
+    */
   def atMost(a: String, b: String, bound: Int): Int = {
-    if (math.abs(a.length - b.length) > bound) return bound + 1
-    apply(a, b)
+    val cap = bound + 1
+    if (bound < 0 || math.abs(a.length - b.length) > bound) return cap
+    if (a == b) return 0
+    val (s, t) = if (a.length <= b.length) (a, b) else (b, a)
+    // Cells outside the band hold cap: their true distance is at least that.
+    var prev = Array.fill(s.length + 1)(cap)
+    var cur = Array.fill(s.length + 1)(cap)
+    var j = 0
+    while (j <= math.min(s.length, bound)) { prev(j) = j; j += 1 }
+    var i = 1
+    while (i <= t.length) {
+      val lo = math.max(1, i - bound)
+      val hi = math.min(s.length, i + bound)
+      cur(lo - 1) = if (lo == 1) math.min(i, cap) else cap
+      var rowMin = cur(lo - 1)
+      j = lo
+      while (j <= hi) {
+        val cost = if (t.charAt(i - 1) == s.charAt(j - 1)) 0 else 1
+        val d = math.min(math.min(cur(j - 1) + 1, prev(j) + 1), math.min(prev(j - 1) + cost, cap))
+        cur(j) = d
+        if (d < rowMin) rowMin = d
+        j += 1
+      }
+      if (rowMin == cap) return cap
+      val tmp = prev; prev = cur; cur = tmp
+      i += 1
+    }
+    prev(s.length)
   }
 }

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.ListenerBusAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +19,22 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** The result of `f` and the number of Spark jobs it started. */
+  def jobsOf[A](f: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusAccess.drain(sc)
+    sc.addSparkListener(listener)
+    try {
+      val a = f
+      ListenerBusAccess.drain(sc)
+      (a, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

@@ -78,4 +78,18 @@ class BCleanEndToEndSpec extends SparkSpec {
     val prf = Metrics.evaluate(beers.dirty, withUc, beers.clean, beers.attrs)
     assert(prf.f1 > 0.4, prf.pretty)
   }
+
+  test("buildModel rejects a non-string attribute column, naming it and its type") {
+    import spark.implicits._
+    val df = Seq((0L, "a", 1), (1L, "b", 2)).toDF("_tid", "x", "n")
+    val e = intercept[IllegalArgumentException](BClean.buildModel(df, Seq("x", "n"), UcSet.empty))
+    assert(e.getMessage.contains("'n'") && e.getMessage.contains("int"), e.getMessage)
+  }
+
+  test("buildModel rejects a missing attribute column, naming it") {
+    import spark.implicits._
+    val df = Seq((0L, "a"), (1L, "b")).toDF("_tid", "x")
+    val e = intercept[IllegalArgumentException](BClean.buildModel(df, Seq("x", "y"), UcSet.empty))
+    assert(e.getMessage.contains("'y'"), e.getMessage)
+  }
 }

@@ -1,9 +1,5 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 import repro.core.{UserConstraint => UC}
 import repro.data.Benchmarks
@@ -20,22 +16,6 @@ class StatsSpec extends SparkSpec {
     "state" -> UC.All(Seq(UC.NotNull, UC.Length(2, 2))),
   ))
   private lazy val stats = Stats.compute(dirty, attrs, ucs)
-
-  /** The result of `f` and the number of Spark jobs it started. */
-  private def jobsOf[A](f: => A): (A, Int) = {
-    val sc = spark.sparkContext
-    val jobs = new AtomicInteger
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-    }
-    ListenerBusAccess.drain(sc)
-    sc.addSparkListener(listener)
-    try {
-      val a = f
-      ListenerBusAccess.drain(sc)
-      (a, jobs.get)
-    } finally sc.removeSparkListener(listener)
-  }
 
   test("NULL is counted in the co-occurrence statistics but not in corr") {
     // Tuple 1 has city = "".
@@ -97,8 +77,8 @@ class StatsSpec extends SparkSpec {
     val rows = beers.dirty.selectExpr(cols: _*).collect().sortBy(_.getLong(0)).toSeq
     val df = spark.createDataFrame(rows.asJava, beers.dirty.selectExpr(cols: _*).schema)
     val ucs = UcSet(beers.ucs.byAttr.filter { case (a, _) => keep.contains(a) })
-    // Structure learning pairs neighbours within sorted partitions, so the
-    // DAG is fixed here and the statistics layers are compared alone.
+    // The DAG is fixed so the statistics layers are compared alone; the
+    // structure pass has its own partition-independence test.
     val dag = Dag(keep.length, Map((3, 4) -> 1.0, (3, 0) -> 1.0))
     val cfg = BClean.Config.pip.copy(inference = BClean.Config.pip.inference.copy(topK = 16))
     val prev = spark.conf.get("spark.sql.shuffle.partitions")

@@ -1,9 +1,38 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.{Oracle, SparkSpec}
 import repro.linalg.Mat
+import repro.text.Similarity
 
 class StructureLearnerSpec extends SparkSpec {
+
+  private val attrs = Fixtures.fdAttrs
+
+  /** `df`'s rows, in their collected order, over `parts` input partitions. */
+  private def spread(df: DataFrame, parts: Int): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(df.collect().toSeq, parts), df.schema)
+
+  /** Driver-side reference: stably sort the collected relation by each
+    * attribute (ties keep input order) and fold all m·(n−1) adjacent pairs.
+    */
+  private def referenceCovariance(df: DataFrame): Mat = {
+    val m = attrs.length
+    val rows = df.select(attrs.map(col): _*).collect()
+      .map(r => Array.tabulate(m)(i => Values.norm(r.getString(i))))
+    val obs = for {
+      a <- 0 until m
+      sorted = rows.sortBy(_(a))
+      k <- 1 until sorted.length
+    } yield Array.tabulate(m)(i => Similarity.value(sorted(k - 1)(i), sorted(k)(i)))
+    val n = obs.length.toDouble
+    def mean(f: Array[Double] => Double) = obs.map(f).sum / n
+    val sigma = Mat.zeros(m, m)
+    for (i <- 0 until m; j <- 0 until m)
+      sigma(i, j) = mean(v => v(i) * v(j)) - mean(_(i)) * mean(_(j))
+    sigma
+  }
 
   test("similarityObservations yields m-dim vectors in [0,1]") {
     val df = Fixtures.fdTable(spark, 60)
@@ -17,6 +46,47 @@ class StructureLearnerSpec extends SparkSpec {
     val df = Fixtures.fdTable(spark, 60).coalesce(1)
     val obs = StructureLearner.similarityObservations(df, Fixtures.fdAttrs).count()
     assert(obs == 3 * 59) // one partition → exactly n−1 pairs per sort
+    // Each attribute's block is one partition, so a multi-partition input
+    // loses no pair either: exactly m·(n−1), n−1 in partition k for attribute k.
+    val multi = spread(Fixtures.fdTable(spark, 60), 5)
+    assert(multi.rdd.getNumPartitions == 5)
+    val blocks = StructureLearner.similarityObservations(multi, attrs)
+    assert(blocks.count() == 3 * 59)
+    assert(blocks.rdd.glom().map(_.length).collect().toSeq == Seq(59, 59, 59))
+  }
+
+  test("covariance equals a driver-side stable sort over all m·(n−1) pairs") {
+    val df = spread(Fixtures.fdTableDirty(spark, 120), 7)
+    assert(df.rdd.getNumPartitions == 7)
+    val sigma = StructureLearner.covariance(StructureLearner.similarityObservations(df, attrs), attrs.length)
+    val ref = referenceCovariance(df)
+    for (i <- attrs.indices; j <- attrs.indices)
+      assert(math.abs(sigma(i, j) - ref(i, j)) < 1e-12, s"Σ($i,$j) = ${sigma(i, j)}, reference ${ref(i, j)}")
+  }
+
+  test("Σ and the DAG do not depend on spark.sql.shuffle.partitions") {
+    val df = spread(Fixtures.fdTableDirty(spark, 200), 7)
+    val prev = spark.conf.get("spark.sql.shuffle.partitions")
+    def run(partitions: Int): (Seq[Double], repro.graph.Dag) = {
+      spark.conf.set("spark.sql.shuffle.partitions", partitions.toString)
+      val sigma = StructureLearner.covariance(StructureLearner.similarityObservations(df, attrs), attrs.length)
+      (sigma.data.toSeq, StructureLearner.learn(df, attrs))
+    }
+    try {
+      val (sigma1, dag1) = run(1)
+      val (sigma8, dag8) = run(8)
+      assert(sigma1 == sigma8) // bit-identical
+      assert(dag1 == dag8)
+      assert(dag1.edges.nonEmpty)
+    } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
+  }
+
+  test("learn starts at most two Spark jobs, buildModel at most four") {
+    val dirty = Fixtures.fdTableDirty(spark, 120)
+    val (_, learnJobs) = jobsOf(StructureLearner.learn(dirty, attrs))
+    assert(learnJobs <= 2, s"learn started $learnJobs jobs")
+    val (_, modelJobs) = jobsOf(BClean.buildModel(dirty, attrs, UcSet.empty, BClean.Config.pip))
+    assert(modelJobs <= 4, s"buildModel started $modelJobs jobs")
   }
 
   test("identical-attribute pairs produce similarity 1") {

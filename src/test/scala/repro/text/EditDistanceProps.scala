@@ -6,6 +6,8 @@ import org.scalacheck.{Gen, Prop, Properties}
 object EditDistanceProps extends Properties("EditDistance") {
 
   private val word: Gen[String] = Gen.stringOf(Gen.alphaLowerChar).map(_.take(12))
+  // Two letters: close pairs, so the band's inside is exercised too.
+  private val nearWord: Gen[String] = Gen.stringOf(Gen.oneOf('a', 'b')).map(_.take(12))
 
   property("symmetric") = Prop.forAll(word, word) { (a, b) =>
     EditDistance(a, b) == EditDistance(b, a)
@@ -26,6 +28,11 @@ object EditDistanceProps extends Properties("EditDistance") {
   property("single appended char costs exactly 1") = Prop.forAll(word) { a =>
     EditDistance(a, a + "x") == 1
   }
+
+  property("atMost is the distance capped at bound + 1") =
+    Prop.forAll(Gen.oneOf(word, nearWord), Gen.oneOf(word, nearWord), Gen.choose(0, 14)) { (a, b, bound) =>
+      EditDistance.atMost(a, b, bound) == math.min(EditDistance(a, b), bound + 1)
+    }
 
   property("similarity stays within [0,1]") = Prop.forAll(word, word) { (a, b) =>
     val s = Similarity.string(a, b)

@@ -59,4 +59,10 @@ class EditDistanceSpec extends AnyFunSuite {
   test("atMost equals full distance within bound") {
     assert(EditDistance.atMost("cat", "cut", 3) == 1)
   }
+
+  test("atMost caps a distance past the bound at bound + 1") {
+    assert(EditDistance.atMost("abc", "xyz", 1) == 2)
+    assert(EditDistance.atMost("kitten", "sitting", 2) == 3)
+    assert(EditDistance.atMost("kitten", "sitting", 3) == 3)
+  }
 }
