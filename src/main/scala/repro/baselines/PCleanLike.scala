@@ -9,7 +9,7 @@ import repro.text.EditDistance
   * to its relational essentials. The "program" (`PCleanSpec`) partitions the
   * attributes into groups, each with a *pivot* whose latent value generates
   * the group: priors are the pivot's empirical frequencies and observations
-  * are corrupted by an edit-distance typo kernel, exp(−ED/typoCost).
+  * are corrupted by an edit-distance typo kernel, exp(−min(ED, 9)/typoCost).
   *
   * Inference is per-tuple MAP over the pivot domain; the group's cells are
   * rewritten to the implied latent record. PClean's strength *and* weakness
@@ -59,7 +59,7 @@ object PCleanLike {
       val (groups, typoCost) = bc.value
       def editLik(obs: String, latent: String): Double =
         if (Values.isNull(obs)) -2.0 // missing-observation likelihood
-        else -EditDistance.lengthCapped(obs, latent, 8).toDouble / typoCost
+        else -EditDistance.atMost(obs, latent, 8).toDouble / typoCost
       rows.map { row =>
         val t = Values.ofRow(row, attrIdx)
         val out = t.clone()

@@ -114,7 +114,7 @@ object RahaBaranLike {
             while (k < dom.length) {
               val c = dom(k)
               if (c != t(i)) {
-                val ed = if (Values.isNull(t(i))) 3 else EditDistance.lengthCapped(c, t(i), 6)
+                val ed = if (Values.isNull(t(i))) 3 else EditDistance.atMost(c, t(i), 6)
                 var ctx = 0.0
                 var j = 0
                 while (j < t.length) {

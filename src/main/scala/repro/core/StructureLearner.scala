@@ -63,12 +63,12 @@ object StructureLearner {
         val raw = Array.tabulate(m)(r.getString)
         val cur = raw.map(Values.norm)
         val pos = idx
-        Iterator.tabulate(m)(a => ((a, raw(a), pid, pos), cur))
+        Iterator.tabulate(m)(a => ((a, Option(raw(a)), pid, pos), cur))
       }
     }
-    // Ties on t[a] keep input row order, as a stable sort would.
-    implicit val keyOrder: Ordering[(Int, String, Int, Long)] =
-      Ordering.Tuple4(Ordering.Int, SqlStringOrdering, Ordering.Int, Ordering.Long)
+    // NULL sorts first; ties on t[a] keep input row order, as a stable sort would.
+    implicit val keyOrder: Ordering[(Int, Option[String], Int, Long)] =
+      Ordering.Tuple4(Ordering.Int, Ordering.Option(Ordering.String), Ordering.Int, Ordering.Long)
     val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
     spark.createDataset(blocks.mapPartitions { rows =>
       var prev: Array[String] = null
@@ -89,21 +89,6 @@ object StructureLearner {
   private final class AttributePartitioner(m: Int) extends Partitioner {
     def numPartitions: Int = m
     def getPartition(key: Any): Int = key match { case (a: Int, _, _, _) => a }
-  }
-
-  /** Spark SQL's ascending string order: NULL first, then UTF-8 byte order,
-    * which is code-point order (`String.compareTo` differs on surrogates).
-    */
-  private object SqlStringOrdering extends Ordering[String] {
-    def compare(x: String, y: String): Int =
-      if (x == null || y == null) java.lang.Boolean.compare(y == null, x == null)
-      else {
-        val n = math.min(x.length, y.length)
-        var i = 0
-        while (i < n && x.charAt(i) == y.charAt(i)) i += 1
-        if (i == n) Integer.compare(x.length, y.length)
-        else Integer.compare(x.codePointAt(i), y.codePointAt(i))
-      }
   }
 
   /** Empirical covariance of the observations via a single distributed pass.

@@ -28,14 +28,6 @@ object EditDistance {
     prev(s.length)
   }
 
-  /** The full distance, but bound + 1 when the lengths alone differ by more
-    * than the bound. The PClean-like and Raha+Baran-like scores are defined
-    * on this; `atMost`, which caps every distance past the bound, would
-    * change their repairs.
-    */
-  def lengthCapped(a: String, b: String, bound: Int): Int =
-    if (math.abs(a.length - b.length) > bound) bound + 1 else apply(a, b)
-
   /** Distance capped at the bound: min(d, bound + 1). Only the diagonal band
     * |i − j| ≤ bound of the DP is filled (Ukkonen, 1985), and it stops as
     * soon as a whole row exceeds the bound; O(bound · min(|a|, |b|)) time.
