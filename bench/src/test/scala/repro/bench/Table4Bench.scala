@@ -59,7 +59,7 @@ class Table4Bench extends SparkSpec {
     }
     Harness.record("table4", sb.toString)
 
-    // Shape assertions (see EXPERIMENTS.md): BClean variants competitive and
+    // Shape assertions: BClean variants competitive and
     // the baselines' signatures hold on the FD-rich datasets.
     val hosp = dss.find(_.name == "Hospital").get
     val piF1 = Harness.run(spark, hosp, "BClean_PI").prf.f1

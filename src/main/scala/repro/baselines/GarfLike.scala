@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.DataFrame
 import repro.core.{CoOccurrence, Values}
 import repro.data.CleaningDataset
 
@@ -18,7 +18,7 @@ object GarfLike {
 
   final case class Rule(lhsAttr: Int, lhsVal: String, rhsAttr: Int, rhsVal: String, conf: Double)
 
-  def mineRules(co: CoOccurrence, m: Int, minSupport: Long = 3, minConf: Double = 0.9): Seq[Rule] = {
+  def mineRules(co: CoOccurrence, minSupport: Long = 3, minConf: Double = 0.9): Seq[Rule] = {
     val rules = for {
       ((i, j), pairMap) <- co.pairs.toSeq
       ((vi, vj), cnt) <- pairMap.toSeq
@@ -31,35 +31,22 @@ object GarfLike {
   }
 
   def clean(ds: CleaningDataset, minSupport: Long = 3, minConf: Double = 0.9): DataFrame = {
-    val dirty = ds.dirty
-    val schema = dirty.schema
-    val attrIdx = ds.attrs.map(schema.fieldIndex).toArray
-    val co = CoOccurrence.compute(dirty, ds.attrs)
-    val rules = mineRules(co, ds.attrs.length, minSupport, minConf)
+    val co = CoOccurrence.compute(ds.dirty, ds.attrs)
+    val rules = mineRules(co, minSupport, minConf)
     // Index rules by LHS for O(1) application; strongest rule wins per RHS.
     val byLhs: Map[(Int, String), Seq[Rule]] = rules
       .groupBy(r => (r.lhsAttr, r.lhsVal))
       .view.mapValues(_.groupBy(_.rhsAttr).values.map(_.maxBy(_.conf)).toSeq).toMap
-    val bc = dirty.sparkSession.sparkContext.broadcast(byLhs)
-    dirty.mapPartitions { rows =>
-      val idx = bc.value
-      rows.map { row =>
-        val t = Values.ofRow(row, attrIdx)
-        val out = t.clone()
-        var i = 0
-        while (i < t.length) {
-          idx.get((i, t(i))).foreach(_.foreach { r =>
-            if (out(r.rhsAttr) != r.rhsVal) out(r.rhsAttr) = r.rhsVal
-          })
-          i += 1
-        }
-        val vals = new Array[Any](schema.length)
-        var k = 0
-        while (k < schema.length) { vals(k) = row.get(k); k += 1 }
-        var a = 0
-        while (a < attrIdx.length) { vals(attrIdx(a)) = out(a); a += 1 }
-        Row.fromSeq(vals.toIndexedSeq)
+    Values.mapTuples(ds.dirty, ds.attrs, byLhs) { (idx, t) =>
+      val out = t.clone()
+      var i = 0
+      while (i < t.length) {
+        idx.get((i, t(i))).foreach(_.foreach { r =>
+          if (out(r.rhsAttr) != r.rhsVal) out(r.rhsAttr) = r.rhsVal
+        })
+        i += 1
       }
-    }(Encoders.row(schema))
+      out
+    }
   }
 }

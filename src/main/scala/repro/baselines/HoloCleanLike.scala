@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.core.Values
 import repro.data.CleaningDataset
@@ -40,33 +40,20 @@ object HoloCleanLike {
     * it (≥ 2 witnesses and > half the group agrees).
     */
   def clean(ds: CleaningDataset, minSupport: Long = 2, minRatio: Double = 0.5): DataFrame = {
-    val dirty = ds.dirty
-    val schema = dirty.schema
-    val attrIdx = ds.attrs.map(schema.fieldIndex).toArray
     val attrPos = ds.attrs.zipWithIndex.toMap
-    val maps = ds.fds.map(fd => (fd._1.map(attrPos), attrPos(fd._2), fdMajorities(dirty, fd)))
-    val bc = dirty.sparkSession.sparkContext.broadcast(maps)
-    dirty.mapPartitions { rows =>
-      val fdMaps = bc.value
-      rows.map { row =>
-        val t = Values.ofRow(row, attrIdx)
-        val out = t.clone()
-        fdMaps.foreach { case (xIdx, yIdx, mp) =>
-          val key: Seq[String] = xIdx.map(t)
-          mp.get(key).foreach { case (bestY, bestCnt, total) =>
-            val current = t(yIdx)
-            val violates = current != bestY && bestY.nonEmpty
-            if (violates && bestCnt >= minSupport && bestCnt.toDouble / total > minRatio)
-              out(yIdx) = bestY
-          }
+    val maps = ds.fds.map(fd => (fd._1.map(attrPos), attrPos(fd._2), fdMajorities(ds.dirty, fd)))
+    Values.mapTuples(ds.dirty, ds.attrs, maps) { (fdMaps, t) =>
+      val out = t.clone()
+      fdMaps.foreach { case (xIdx, yIdx, mp) =>
+        val key: Seq[String] = xIdx.map(t)
+        mp.get(key).foreach { case (bestY, bestCnt, total) =>
+          val current = t(yIdx)
+          val violates = current != bestY && bestY.nonEmpty
+          if (violates && bestCnt >= minSupport && bestCnt.toDouble / total > minRatio)
+            out(yIdx) = bestY
         }
-        val vals = new Array[Any](schema.length)
-        var i = 0
-        while (i < schema.length) { vals(i) = row.get(i); i += 1 }
-        var k = 0
-        while (k < attrIdx.length) { vals(attrIdx(k)) = out(k); k += 1 }
-        Row.fromSeq(vals.toIndexedSeq)
       }
-    }(Encoders.row(schema))
+      out
+    }
   }
 }

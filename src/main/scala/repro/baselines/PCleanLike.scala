@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.DataFrame
 import repro.core.{CoOccurrence, Values}
 import repro.data.{CleaningDataset, PCleanSpec}
 import repro.text.EditDistance
@@ -45,49 +45,36 @@ object PCleanLike {
   }
 
   def clean(ds: CleaningDataset): DataFrame = {
-    val dirty = ds.dirty
-    val schema = dirty.schema
-    val attrIdx = ds.attrs.map(schema.fieldIndex).toArray
     val attrPos = ds.attrs.zipWithIndex.toMap
-    val co = CoOccurrence.compute(dirty, ds.attrs)
+    val co = CoOccurrence.compute(ds.dirty, ds.attrs)
     val spec: PCleanSpec = ds.pclean
     val groups = spec.groups.map { case (p, det) =>
       learnGroup(co, attrPos(p), det.map(attrPos))
     }
-    val bc = dirty.sparkSession.sparkContext.broadcast((groups, spec.typoCost))
-    dirty.mapPartitions { rows =>
-      val (groups, typoCost) = bc.value
+    Values.mapTuples(ds.dirty, ds.attrs, (groups, spec.typoCost)) { case ((groups, typoCost), t) =>
       def editLik(obs: String, latent: String): Double =
         if (Values.isNull(obs)) -2.0 // missing-observation likelihood
         else -EditDistance.atMost(obs, latent, 8).toDouble / typoCost
-      rows.map { row =>
-        val t = Values.ofRow(row, attrIdx)
-        val out = t.clone()
-        groups.foreach { g =>
-          // MAP over the pivot domain: prior × typo likelihood of the group.
-          var bestV: String = null
-          var bestS = Double.NegativeInfinity
-          g.pivotCounts.foreach { case (v, cnt) =>
-            var s = math.log(cnt.toDouble) + editLik(t(g.pivot), v)
-            val imp = g.implied.getOrElse(v, Map.empty)
-            g.determined.foreach { d =>
-              imp.get(d).foreach(w => s += editLik(t(d), w))
-            }
-            if (s > bestS) { bestS = s; bestV = v }
+      val out = t.clone()
+      groups.foreach { g =>
+        // MAP over the pivot domain: prior × typo likelihood of the group.
+        var bestV: String = null
+        var bestS = Double.NegativeInfinity
+        g.pivotCounts.foreach { case (v, cnt) =>
+          var s = math.log(cnt.toDouble) + editLik(t(g.pivot), v)
+          val imp = g.implied.getOrElse(v, Map.empty)
+          g.determined.foreach { d =>
+            imp.get(d).foreach(w => s += editLik(t(d), w))
           }
-          if (bestV != null) {
-            out(g.pivot) = bestV
-            val imp = g.implied.getOrElse(bestV, Map.empty)
-            g.determined.foreach(d => imp.get(d).foreach(w => out(d) = w))
-          }
+          if (s > bestS) { bestS = s; bestV = v }
         }
-        val vals = new Array[Any](schema.length)
-        var k = 0
-        while (k < schema.length) { vals(k) = row.get(k); k += 1 }
-        var a = 0
-        while (a < attrIdx.length) { vals(attrIdx(a)) = out(a); a += 1 }
-        Row.fromSeq(vals.toIndexedSeq)
+        if (bestV != null) {
+          out(g.pivot) = bestV
+          val imp = g.implied.getOrElse(bestV, Map.empty)
+          g.determined.foreach(d => imp.get(d).foreach(w => out(d) = w))
+        }
       }
-    }(Encoders.row(schema))
+      out
+    }
   }
 }

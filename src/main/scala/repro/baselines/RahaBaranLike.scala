@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.DataFrame
 import repro.core.{CoOccurrence, Values}
 import repro.data.CleaningDataset
 import repro.text.EditDistance
@@ -22,8 +22,6 @@ import repro.text.EditDistance
   * domain of freq × edit-proximity × context co-occurrence.
   */
 object RahaBaranLike {
-
-  final case class DetectorStats(patternFreq: Map[Int, Map[String, Long]], colSizes: Map[Int, Long])
 
   def charClassPattern(v: String): String =
     v.map(c => if (c.isDigit) 'd' else if (c.isLetter) 'a' else 's').mkString
@@ -95,48 +93,38 @@ object RahaBaranLike {
       i -> counts.toSeq.sortBy(-_._2).take(300).map(_._1).filter(_.nonEmpty).toIndexedSeq
     }
     val model = (co, patterns, fdMaps, weights, wSum, domains)
-    val bc = dirty.sparkSession.sparkContext.broadcast(model)
-    dirty.mapPartitions { rows =>
-      val (co, patterns, fdMaps, weights, wSum, domains) = bc.value
-      rows.map { row =>
-        val t = Values.ofRow(row, attrIdx)
-        val out = t.clone()
-        var i = 0
-        while (i < t.length) {
-          val vs = votes(t, i, co, patterns, fdMaps)
-          val vote = vs.zip(weights).collect { case (true, w) => w }.sum
-          if (vote > 0.5 * wSum) {
-            // Baran-style correction: frequency × edit proximity × context.
-            var bestC: String = null
-            var bestS = Double.NegativeInfinity
-            val dom = domains(i)
-            var k = 0
-            while (k < dom.length) {
-              val c = dom(k)
-              if (c != t(i)) {
-                val ed = if (Values.isNull(t(i))) 3 else EditDistance.atMost(c, t(i), 6)
-                var ctx = 0.0
-                var j = 0
-                while (j < t.length) {
-                  if (j != i) ctx += co.count(i, c, j, t(j)).toDouble
-                  j += 1
-                }
-                val s = math.log(co.count(i, c).toDouble + 1) - 0.8 * ed + math.log1p(ctx)
-                if (s > bestS) { bestS = s; bestC = c }
+    Values.mapTuples(dirty, ds.attrs, model) { case ((co, patterns, fdMaps, weights, wSum, domains), t) =>
+      val out = t.clone()
+      var i = 0
+      while (i < t.length) {
+        val vs = votes(t, i, co, patterns, fdMaps)
+        val vote = vs.zip(weights).collect { case (true, w) => w }.sum
+        if (vote > 0.5 * wSum) {
+          // Baran-style correction: frequency × edit proximity × context.
+          var bestC: String = null
+          var bestS = Double.NegativeInfinity
+          val dom = domains(i)
+          var k = 0
+          while (k < dom.length) {
+            val c = dom(k)
+            if (c != t(i)) {
+              val ed = if (Values.isNull(t(i))) 3 else EditDistance.atMost(c, t(i), 6)
+              var ctx = 0.0
+              var j = 0
+              while (j < t.length) {
+                if (j != i) ctx += co.count(i, c, j, t(j)).toDouble
+                j += 1
               }
-              k += 1
+              val s = math.log(co.count(i, c).toDouble + 1) - 0.8 * ed + math.log1p(ctx)
+              if (s > bestS) { bestS = s; bestC = c }
             }
-            if (bestC != null) out(i) = bestC
+            k += 1
           }
-          i += 1
+          if (bestC != null) out(i) = bestC
         }
-        val vals = new Array[Any](schema.length)
-        var k2 = 0
-        while (k2 < schema.length) { vals(k2) = row.get(k2); k2 += 1 }
-        var a = 0
-        while (a < attrIdx.length) { vals(attrIdx(a)) = out(a); a += 1 }
-        Row.fromSeq(vals.toIndexedSeq)
+        i += 1
       }
-    }(Encoders.row(schema))
+      out
+    }
   }
 }

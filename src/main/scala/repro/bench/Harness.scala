@@ -71,7 +71,7 @@ object Harness {
     else s"${ms}ms"
   }
 
-  /** Append a result block to bench_results/<name>.txt for EXPERIMENTS.md. */
+  /** Write a result block to bench_results/<name>.txt and echo it. */
   def record(name: String, content: String): Unit = {
     val dir = new java.io.File("bench_results")
     dir.mkdirs()

@@ -11,27 +11,29 @@ import org.apache.spark.sql.functions._
   * tuples whose UC-based confidence (Eq. 3) is ≥ τ and −β otherwise, divided
   * by |D|.
   *
-  * Confidence is a per-row DataFrame expression; the corr table is the
+  * Confidence is one Scala function, `confidence`, run per row as a UDF by
+  * `withConfidence` and per tuple by inference; the corr table is the
   * Σ weight column of the one `Stats` aggregation.
   */
 object CompensatoryScore {
 
   final case class Params(lambda: Double = 1.0, beta: Double = 2.0, tau: Double = 0.5)
 
-  /** Tuple confidence (Eq. 3):
+  /** Tuple confidence (Eq. 3) of the normalized values `t` of `attrs`:
     * conf(T) = max(0, (Σ 1[UC=1] − λ · Σ 1[UC=0]) / |T|).
-    * Adds a `conf` column to the relation.
     */
+  def confidence(t: Array[String], attrs: Seq[String], ucs: UcSet, lambda: Double): Double = {
+    var sat = 0
+    var i = 0
+    while (i < t.length) { sat += ucs.check(attrs(i), t(i)); i += 1 }
+    val viol = t.length - sat
+    math.max(0.0, (sat - lambda * viol) / t.length)
+  }
+
+  /** Adds the `conf` column (Eq. 3, `confidence`) to the relation. */
   def withConfidence(df: DataFrame, attrs: Seq[String], ucs: UcSet, lambda: Double): DataFrame = {
-    val checks: Seq[Column] = attrs.map { a =>
-      val uc = ucs(a)
-      val checkUdf = udf((v: String) => uc.check(Values.norm(v)))
-      checkUdf(col(a))
-    }
-    val sat = checks.reduce(_ + _).cast("double")
-    val viol = lit(attrs.length) - sat
-    val conf = greatest(lit(0.0), (sat - lit(lambda) * viol) / lit(attrs.length.toDouble))
-    df.withColumn("conf", conf)
+    val conf = udf((vs: Seq[String]) => confidence(vs.map(Values.norm).toArray, attrs, ucs, lambda))
+    df.withColumn("conf", conf(array(attrs.map(col): _*)))
   }
 
   /** The corr table of Algorithm 2 as a DataFrame with columns
@@ -52,7 +54,8 @@ object CompensatoryScore {
     Stats.corrOf(corrDf.collect().toSeq.map(r => (r.getInt(0), r.getInt(1), r.getString(2), r.getString(3), r.getDouble(4))))
 
   /** Score_corr(c, t, A_j) from the collected corr map (Eq. 2), normalized by
-    * the relation size.
+    * the relation size. `self` is taken off every entry read: the weight the
+    * tuple itself put into them, for a leave-one-out score.
     */
   def scoreCorr(
       corr: Map[(Int, Int), Map[(String, String), Double]],
@@ -60,14 +63,15 @@ object CompensatoryScore {
       j: Int,
       c: String,
       t: Array[String],
+      self: Double = 0.0,
   ): Double = {
     var s = 0.0
     var k = 0
     while (k < t.length) {
       if (k != j && !Values.isNull(t(k))) {
         corr.get((j, k)) match {
-          case Some(mp) => s += mp.getOrElse((c, t(k)), 0.0)
-          case None     =>
+          case Some(mp) => s += mp.getOrElse((c, t(k)), 0.0) - self
+          case None     => s -= self
         }
       }
       k += 1
@@ -87,7 +91,7 @@ object CompensatoryScore {
     if (conf >= tau) 1.0 else -beta * (tau - conf) / math.max(tau, 1e-9)
 
   private[core] def weightExpr(conf: Column, tau: Double, beta: Double): Column =
-    when(conf >= tau, 1.0).otherwise(lit(-beta) * (lit(tau) - conf) / math.max(tau, 1e-9))
+    udf((c: Double) => weight(c, tau, beta)).apply(conf)
 
   /** The paper combines scores as log(BN) + log(CS). Score_corr may be ≤ 0
     * (β-penalties), where a raw log is undefined; since only the relative

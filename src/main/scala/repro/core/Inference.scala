@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Encoders, Row}
+import org.apache.spark.sql.DataFrame
 
 /** Per-cell MAP inference (Algorithm 1) as a distributed map over tuples.
   *
@@ -21,11 +21,12 @@ object Inference {
       domainPruning: Boolean = false,  // TF-IDF top-K candidate domains
       tauClean: Double = 0.35,         // tuple-pruning threshold
       topK: Int = 64,                  // domain-pruning candidate budget
-      repairMargin: Double = 2.0,      // min log-score gap to replace the incumbent
-      obsWeight: Double = 1.5,         // weight of the observation-similarity term
-      simFloor: Double = 0.1,          // similarity floor (caps the dissimilarity penalty)
-      nullFillMargin: Double = 0.5,    // min winner-vs-runner-up gap to fill a NULL
   )
+
+  val RepairMargin: Double = 2.0   // min log-score gap to replace the incumbent
+  val ObsWeight: Double = 1.5      // weight of the observation-similarity term
+  val SimFloor: Double = 0.1       // similarity floor (caps the dissimilarity penalty)
+  val NullFillMargin: Double = 0.5 // min winner-vs-runner-up gap to fill a NULL
 
   /** Everything a partition needs to repair its tuples, broadcast once. */
   final case class Model(
@@ -42,16 +43,10 @@ object Inference {
 
     /** The tuple's own contribution to every corr entry it touches: +1 when
       * its confidence (Eq. 3) passes τ, −β otherwise. Needed for the
-      * leave-one-out correction in `score`.
+      * leave-one-out correction in `csLog`.
       */
-    def selfWeight(t: Array[String]): Double = {
-      var sat = 0
-      var i = 0
-      while (i < t.length) { sat += ucs.check(attrs(i), t(i)); i += 1 }
-      val viol = t.length - sat
-      val conf = math.max(0.0, (sat - scoreParams.lambda * viol) / t.length)
-      CompensatoryScore.weight(conf, scoreParams.tau, scoreParams.beta)
-    }
+    def selfWeight(t: Array[String]): Double = CompensatoryScore.weight(
+      CompensatoryScore.confidence(t, attrs, ucs, scoreParams.lambda), scoreParams.tau, scoreParams.beta)
   }
 
   /** Repair one tuple's values in place-copy; returns the repaired values. */
@@ -76,7 +71,7 @@ object Inference {
         // evidence that the cell is wrong).
         val incumbentNull = Values.isNull(t(j))
         val incumbentOk = incumbentNull || uc.holds(t(j))
-        val margin = if (incumbentOk && !incumbentNull) cfg.repairMargin else 0.0
+        val margin = if (incumbentOk && !incumbentNull) RepairMargin else 0.0
         var bestC = t(j)
         var bestP = score(model, j, bestC, t, selfW) + margin
         var secondP = Double.NegativeInfinity
@@ -93,7 +88,7 @@ object Inference {
         // A NULL is only filled when the winner clearly dominates the
         // runner-up — a near-uniform fill (e.g. a missing source site) is a
         // coin flip that would only cost precision.
-        if (incumbentNull && bestC != t(j) && bestP - secondP < cfg.nullFillMargin)
+        if (incumbentNull && bestC != t(j) && bestP - secondP < NullFillMargin)
           bestC = t(j)
         out(j) = bestC
       }
@@ -112,47 +107,30 @@ object Inference {
     val bnLog =
       if (model.cfg.partitioned) model.bn.blanketLog(j, c, t)
       else model.bn.fullJointLog(j, c, t)
-    val n = model.co.nRows
-    var cs = CompensatoryScore.scoreCorr(model.corr, n, j, c, t)
-    // Leave-one-out: the incumbent's corr entries include this very tuple's
-    // pairs (one per non-null context attribute, weighted ±). Remove them so
-    // a value seen nowhere else gets no support from its own dirty row, and
-    // a correct value inside a β-penalized row is not poisoned by it.
-    if (c == t(j) && !Values.isNull(c)) {
-      var nonNullCtx = 0
-      var k = 0
-      while (k < t.length) { if (k != j && !Values.isNull(t(k))) nonNullCtx += 1; k += 1 }
-      cs -= selfW * nonNullCtx / math.max(n, 1L)
-    }
     // Observation term over the *literal string*: a typo differs as a string
     // even when numerically close (id 2476 vs 2500 must not look alike).
     val obsLog =
       if (Values.isNull(t(j))) 0.0
-      else model.cfg.obsWeight *
-        math.log(math.max(repro.text.Similarity.string(t(j), c), model.cfg.simFloor))
-    bnLog + CompensatoryScore.logCs(cs, n) + obsLog
+      else ObsWeight * math.log(math.max(repro.text.Similarity.string(t(j), c), SimFloor))
+    bnLog + csLog(model, j, c, t, selfW) + obsLog
   }
 
-  /** Distributed cleaning pass: mapPartitions with the model broadcast. The
-    * output schema equals the input schema (tid column preserved).
+  /** The log CS term of `score`: Score_corr (Eq. 2), leave-one-out for the
+    * incumbent.
     */
-  def clean(df: DataFrame, model: Model, tidCol: String = "_tid"): DataFrame = {
-    val spark = df.sparkSession
-    val schema = df.schema
-    val attrIdx = model.attrs.map(schema.fieldIndex).toArray
-    val bc = spark.sparkContext.broadcast(model)
-    df.mapPartitions { rows =>
-      val mdl = bc.value
-      rows.map { row =>
-        val t = Values.ofRow(row, attrIdx)
-        val repaired = repairTuple(mdl, t)
-        val vals = new Array[Any](schema.length)
-        var i = 0
-        while (i < schema.length) { vals(i) = row.get(i); i += 1 }
-        var k = 0
-        while (k < attrIdx.length) { vals(attrIdx(k)) = repaired(k); k += 1 }
-        Row.fromSeq(vals.toIndexedSeq)
-      }
-    }(Encoders.row(schema))
+  def csLog(model: Model, j: Int, c: String, t: Array[String], selfW: Double): Double = {
+    // The incumbent's corr entries include this very tuple's pairs (one per
+    // non-null context attribute, weighted ±). Take its weight off each entry
+    // so a value seen nowhere else gets exactly no support from its own dirty
+    // row, and a correct value inside a β-penalized row is not poisoned by it.
+    val n = model.co.nRows
+    val self = if (c == t(j) && !Values.isNull(c)) selfW else 0.0
+    CompensatoryScore.logCs(CompensatoryScore.scoreCorr(model.corr, n, j, c, t, self), n)
   }
+
+  /** Distributed cleaning pass: `repairTuple` over every tuple, with the
+    * model broadcast once. The output schema equals the input schema.
+    */
+  def clean(df: DataFrame, model: Model): DataFrame =
+    Values.mapTuples(df, model.attrs, model)(repairTuple)
 }

@@ -28,10 +28,10 @@ object Metrics {
   }
 
   /** Melt a wide relation to (tid, attr, value); NULLs normalized to "". */
-  def melt(df: DataFrame, attrs: Seq[String], tidCol: String = "_tid"): DataFrame = {
+  def melt(df: DataFrame, attrs: Seq[String]): DataFrame = {
     val m = attrs.length
     val stackArgs = attrs.map(a => s"'$a', coalesce(cast(`$a` as string), '')").mkString(", ")
-    df.selectExpr(s"`$tidCol` as _tid", s"stack($m, $stackArgs) as (attr, value)")
+    df.selectExpr("_tid", s"stack($m, $stackArgs) as (attr, value)")
   }
 
   /** Join the three melted relations into one cell-level comparison table

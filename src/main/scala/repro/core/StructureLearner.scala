@@ -26,11 +26,12 @@ import repro.text.Similarity
 object StructureLearner {
 
   final case class Config(
-      rho: Double = 0.05,          // graphical-lasso L1 penalty
-      edgeThreshold: Double = 0.12, // min |B| weight kept as an edge
-      maxParents: Int = 3,          // in-degree cap (bounds CPT size)
-      ridge: Double = 1e-3,         // diagonal ridge for degenerate covariances
+      maxParents: Int = 3, // in-degree cap (bounds CPT size)
   )
+
+  val Rho: Double = 0.05           // graphical-lasso L1 penalty
+  val EdgeThreshold: Double = 0.12 // min |B| weight kept as an edge
+  val Ridge: Double = 1e-3         // diagonal ridge for degenerate covariances
 
   /** Sufficient statistics of the similarity observations. */
   final case class MomentStats(n: Long, sum: Array[Double], prod: Array[Double]) {
@@ -188,8 +189,8 @@ object StructureLearner {
     val obs = similarityObservations(df, attrs)
     val sigma = covariance(obs, m)
     val corr = toCorrelation(sigma)
-    for (i <- 0 until m) corr(i, i) += cfg.ridge
-    val theta = GraphicalLasso.fit(corr, cfg.rho).theta
+    for (i <- 0 until m) corr(i, i) += Ridge
+    val theta = GraphicalLasso.fit(corr, Rho).theta
     val order = sinkOrdering(theta)
     val b = autoregression(theta, order)
     // Pooling the per-attribute sorted blocks induces a *negative* artifact
@@ -198,6 +199,6 @@ object StructureLearner {
     // genuine softened-FD dependencies surface as strongly positive weights.
     // Only positive autoregression weights are kept as edges.
     for (i <- 0 until m; j <- 0 until m if b(i, j) < 0) b(i, j) = 0.0
-    Dag.fromAutoregression(b, cfg.edgeThreshold).capParents(cfg.maxParents)
+    Dag.fromAutoregression(b, EdgeThreshold).capParents(cfg.maxParents)
   }
 }

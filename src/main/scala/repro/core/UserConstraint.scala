@@ -14,7 +14,7 @@ sealed trait UserConstraint extends Serializable {
 }
 
 object UserConstraint {
-  private def isNull(v: String): Boolean = v == null || v.isEmpty
+  import Values.isNull
 
   /** Non-null constraint. NULLs violate; everything else passes. */
   case object NotNull extends UserConstraint {

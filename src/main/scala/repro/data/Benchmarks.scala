@@ -5,14 +5,14 @@ import org.apache.spark.sql.types._
 import repro.core.{UcSet, UserConstraint => UC}
 
 /** A "PClean program" for the PClean-like baseline: attribute groups with a
-  * pivot (latent-key) attribute that determines the rest. `wellSpecified`
-  * models the paper's observation that PClean's quality hinges on the expert
-  * writing a faithful PPL model (good on Flights, poor on Soccer/Beers).
+  * pivot (latent-key) attribute that determines the rest. How faithful the
+  * groups are models the paper's observation that PClean's quality hinges on
+  * the expert writing a faithful PPL model (good on Flights, poor on
+  * Soccer/Beers).
   */
 final case class PCleanSpec(
     groups: Seq[(String, Seq[String])],
     typoCost: Double = 1.5,
-    wellSpecified: Boolean = true,
 )
 
 /** A benchmark relation: clean ground truth, dirty observation, the injected
@@ -135,7 +135,7 @@ object Benchmarks {
       "ProviderNumber" -> Seq("HospitalName", "Address", "City", "State", "ZipCode",
         "CountyName", "PhoneNumber", "HospitalType", "HospitalOwner", "EmergencyService"),
       "MeasureCode" -> Seq("MeasureName", "Condition"),
-    ), wellSpecified = true)
+    ))
     build("Hospital", attrs, clean, ucs, fds, pc, 0.05, Seq('T', 'M', 'I'), seed)
   }
 
@@ -173,7 +173,7 @@ object Benchmarks {
       Seq("Flight") -> "SchedDep", Seq("Flight") -> "ActDep",
       Seq("Flight") -> "SchedArr", Seq("Flight") -> "ActArr")
     val pc = PCleanSpec(Seq(
-      "Flight" -> Seq("SchedDep", "ActDep", "SchedArr", "ActArr")), wellSpecified = true)
+      "Flight" -> Seq("SchedDep", "ActDep", "SchedArr", "ActArr")))
     build("Flights", attrs, clean, ucs, fds, pc, 0.30, Seq('T', 'M'), seed)
   }
 
@@ -228,7 +228,7 @@ object Benchmarks {
     // the profile attributes).
     val pc = PCleanSpec(Seq(
       "Name" -> Seq("Surname", "BirthYear", "BirthPlace", "Nationality"),
-      "ClubCity" -> Seq("Club", "Stadium")), wellSpecified = false)
+      "ClubCity" -> Seq("Club", "Stadium")))
     build("Soccer", attrs, clean, ucs, fds, pc, 0.01, Seq('T', 'M', 'I'), seed)
   }
 
@@ -264,7 +264,7 @@ object Benchmarks {
       Seq("BreweryId") -> "State", Seq("BreweryId") -> "Country")
     val pc = PCleanSpec(Seq(
       "BeerName" -> Seq("Style", "Ounces", "Abv"),
-      "City" -> Seq("BreweryId", "BreweryName", "State")), wellSpecified = false)
+      "City" -> Seq("BreweryId", "BreweryName", "State")))
     // The public dirty Beers benchmark leaves the identifier columns intact;
     // errors live in the descriptive/numeric attributes (DESIGN.md § Substitutions).
     build("Beers", attrs, clean, ucs, fds, pc, 0.13, Seq('T', 'M', 'I'), seed,
@@ -301,7 +301,7 @@ object Benchmarks {
       Seq("ZipCode") -> "State", Seq("DrgCode") -> "DrgDefinition")
     val pc = PCleanSpec(Seq(
       "Name" -> Seq("ProviderId", "Address", "City", "State", "ZipCode", "County"),
-      "DrgDefinition" -> Seq("DrgCode")), wellSpecified = false)
+      "DrgDefinition" -> Seq("DrgCode")))
     build("Inpatient", attrs, clean, ucs, fds, pc, 0.10, Seq('T', 'M', 'I', 'S'), seed)
   }
 
@@ -331,7 +331,7 @@ object Benchmarks {
       Seq("ZipCode") -> "State", Seq("City") -> "County")
     val pc = PCleanSpec(Seq(
       "FacilityName" -> Seq("CertNumber", "Address", "City", "State", "ZipCode",
-        "County", "Phone", "FacilityType", "Ownership")), wellSpecified = false)
+        "County", "Phone", "FacilityType", "Ownership")))
     build("Facilities", attrs, clean, ucs, fds, pc, 0.05, Seq('T', 'M', 'I', 'S'), seed)
   }
 

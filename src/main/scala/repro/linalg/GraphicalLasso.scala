@@ -16,6 +16,31 @@ object GraphicalLasso {
   private def soft(x: Double, t: Double): Double =
     if (x > t) x - t else if (x < -t) x + t else 0.0
 
+  /** Column j's lasso, min_b ½ bᵀ W11 b − bᵀ s12 + ρ‖b‖₁ over the indices
+    * `others` (all but j), by coordinate descent from the warm start `beta`,
+    * which it updates in place.
+    */
+  private def lasso(s: Mat, w: Mat, j: Int, others: Array[Int], beta: Array[Double], rho: Double, tol: Double): Unit = {
+    var inner = 0
+    var done = false
+    while (inner < 2000 && !done) {
+      var maxDelta = 0.0
+      var k = 0
+      while (k < others.length) {
+        val ok = others(k)
+        var r = s(ok, j)
+        var l = 0
+        while (l < others.length) { if (l != k) r -= w(ok, others(l)) * beta(l); l += 1 }
+        val nb = soft(r, rho) / math.max(w(ok, ok), 1e-12)
+        maxDelta = math.max(maxDelta, math.abs(nb - beta(k)))
+        beta(k) = nb
+        k += 1
+      }
+      inner += 1
+      if (maxDelta < tol * 0.1) done = true
+    }
+  }
+
   /** @param s    empirical covariance (symmetric p×p)
     * @param rho  L1 penalty; 0 recovers plain inversion (for PD input)
     * @param maxIter outer sweeps over the p columns
@@ -40,29 +65,8 @@ object GraphicalLasso {
       var j = 0
       while (j < p) {
         val others = (0 until p).filter(_ != j).toArray
-        // Solve: min_b 1/2 bᵀ W11 b − bᵀ s12 + rho ||b||1  by coordinate descent.
         val beta = betas(j)
-        var inner = 0
-        var innerDone = false
-        while (inner < 2000 && !innerDone) {
-          var maxDelta = 0.0
-          var k = 0
-          while (k < others.length) {
-            val ok = others(k)
-            var r = s(ok, j)
-            var l = 0
-            while (l < others.length) {
-              if (l != k) r -= w(ok, others(l)) * beta(l)
-              l += 1
-            }
-            val nb = soft(r, rho) / math.max(w(ok, ok), 1e-12)
-            maxDelta = math.max(maxDelta, math.abs(nb - beta(k)))
-            beta(k) = nb
-            k += 1
-          }
-          inner += 1
-          if (maxDelta < tol * 0.1) innerDone = true
-        }
+        lasso(s, w, j, others, beta, rho, tol)
         // w12 = W11 * beta
         var k = 0
         while (k < others.length) {
@@ -87,24 +91,7 @@ object GraphicalLasso {
     while (j < p) {
       val others = (0 until p).filter(_ != j).toArray
       val beta = betas(j)
-      var inner = 0
-      var done = false
-      while (inner < 2000 && !done) {
-        var maxDelta = 0.0
-        var k = 0
-        while (k < others.length) {
-          val ok = others(k)
-          var r = s(ok, j)
-          var l = 0
-          while (l < others.length) { if (l != k) r -= w(ok, others(l)) * beta(l); l += 1 }
-          val nb = soft(r, rho) / math.max(w(ok, ok), 1e-12)
-          maxDelta = math.max(maxDelta, math.abs(nb - beta(k)))
-          beta(k) = nb
-          k += 1
-        }
-        inner += 1
-        if (maxDelta < tol * 0.1) done = true
-      }
+      lasso(s, w, j, others, beta, rho, tol)
       var dot = 0.0
       var k = 0
       while (k < others.length) { dot += w(others(k), j) * beta(k); k += 1 }

@@ -37,7 +37,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("GarfLike mines high-confidence rules only") {
     val co = CoOccurrence.compute(ds.dirty, ds.attrs)
-    val rules = GarfLike.mineRules(co, ds.attrs.length, minSupport = 3, minConf = 0.9)
+    val rules = GarfLike.mineRules(co, minSupport = 3, minConf = 0.9)
     assert(rules.nonEmpty)
     rules.foreach(r => assert(r.conf >= 0.9))
   }
