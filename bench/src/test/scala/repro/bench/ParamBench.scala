@@ -1,36 +1,18 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.{BClean, CompensatoryScore, Metrics}
 
-/** Tables 8–10 — parameter sensitivity of λ, β, τ on Hospital. The paper's
-  * point is *stability*: F1 barely moves across the whole grid.
+/** Tables 8–10 — parameter sensitivity of λ, β, τ on Hospital
+  * (`Tables.tables8to10`). The paper's point is *stability*: F1 barely moves
+  * across the whole grid.
   */
 class ParamBench extends SparkSpec {
 
-  private val lambdas = Seq(0.0, 1.0, 2.0, 5.0, 10.0, 15.0) // Table 8 (β=2, τ=0.5)
-  private val betas = Seq(0.0, 1.0, 2.0, 10.0, 50.0)        // Table 9 (λ=1, τ=0.5)
-  private val taus = Seq(0.1, 0.3, 0.5, 0.7, 0.9)           // Table 10 (λ=1, β=2)
-
-  private def f1(lambda: Double, beta: Double, tau: Double): Double = {
-    val ds = Harness.dataset(spark, "Hospital")
-    val cfg = BClean.Config(score = CompensatoryScore.Params(lambda, beta, tau))
-    val cleaned = BClean.clean(ds.dirty, ds.attrs, ds.ucs, cfg, userEdits = ds.fdEdges)
-    Metrics.evaluate(ds.dirty, cleaned, ds.clean, ds.attrs).f1
-  }
-
   test("Tables 8-10: lambda/beta/tau sweeps on Hospital (paper F1 ~0.981 flat)") {
-    val sb = new StringBuilder
-    sb.append("== Table 8: varying lambda (beta=2, tau=0.5); paper F1=0.98096 for all ==\n")
-    val l = lambdas.map(v => v -> f1(v, 2.0, 0.5))
-    l.foreach { case (v, f) => sb.append(f"lambda=$v%-5s F1=$f%.5f\n") }
-    sb.append("== Table 9: varying beta (lambda=1, tau=0.5); paper F1=0.97996-0.98096 ==\n")
-    val b = betas.map(v => v -> f1(1.0, v, 0.5))
-    b.foreach { case (v, f) => sb.append(f"beta=$v%-5s F1=$f%.5f\n") }
-    sb.append("== Table 10: varying tau (lambda=1, beta=2); paper F1=0.97996-0.98096 ==\n")
-    val t = taus.map(v => v -> f1(1.0, 2.0, v))
-    t.foreach { case (v, f) => sb.append(f"tau=$v%-5s F1=$f%.5f\n") }
-    Harness.record("table8to10", sb.toString)
+    val res = Tables.tables8to10(spark)
+    Harness.record("table8to10", res.text)
+    def sweep(p: String) = res.rows.collect { case (`p`, v, f) => v -> f }
+    val (l, b, t) = (sweep("lambda"), sweep("beta"), sweep("tau"))
     // Shape: stability — spread within each sweep below 0.05 F1.
     def spread(xs: Seq[(Double, Double)]) = xs.map(_._2).max - xs.map(_._2).min
     assert(spread(l) < 0.05, s"lambda spread ${spread(l)}")

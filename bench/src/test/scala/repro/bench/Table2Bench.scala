@@ -1,58 +1,18 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.UserConstraint
 
-/** Table 2 — dataset statistics (rows, columns, cells, measured noise rate,
-  * error types, #UCs), plus the Table 3 UC listing. Paper values are printed
-  * next to the measured ones.
-  */
+/** Table 2 — dataset statistics, plus the Table 3 UC listing (`Tables.table2`). */
 class Table2Bench extends SparkSpec {
 
-  // (name, paperRows, paperCols, paperCells, paperNoise, paperTypes, paperUcs)
-  private val paper = Seq(
-    ("Hospital", 1000L, 15, "15k", "~5%", "T,M,I", 15),
-    ("Flights", 2376L, 6, "14k", "~30%", "T,M", 6),
-    ("Soccer", 200000L, 10, "2M", "~1%", "T,M,I", 10),
-    ("Beers", 2410L, 11, "27k", "~13%", "T,M,I", 11),
-    ("Inpatient", 4017L, 11, "44k", "~10%", "T,M,I,S", 11),
-    ("Facilities", 7992L, 11, "88k", "~5%", "T,M,I,S", 11),
-  )
-
   test("Table 2: dataset statistics (paper vs measured)") {
-    val sb = new StringBuilder
-    sb.append("== Table 2: dataset statistics ==\n")
-    sb.append(f"${"dataset"}%-11s ${"paper(r,c,cells,noise,types,UCs)"}%-42s measured\n")
-    val dss = Harness.datasets(spark)
-    paper.foreach { case (name, pr, pc, pcells, pnoise, ptypes, pucs) =>
-      val ds = dss.find(_.name == name).get
-      val rows = ds.dirty.count()
-      val cols = ds.attrs.length
-      val cells = rows * cols
-      val noise = ds.mask.count().toDouble / cells
-      val types = ds.mask.select("errType").distinct().collect().map(_.getString(0)).sorted.mkString(",")
-      val paperCell = s"($pr, $pc, $pcells, $pnoise, $ptypes, $pucs)"
-      sb.append(f"$name%-11s $paperCell%-42s " +
-        f"($rows, $cols, $cells, ${noise * 100}%.1f%%, $types, ${ds.ucs.count})\n")
-      assert(cols == pc)
-      assert(ds.ucs.count == pucs)
-      assert(noise > 0)
+    val t = Tables.table2(Harness.datasets(spark))
+    Harness.record("table2", t.text)
+    t.rows.foreach { s =>
+      val (_, pc, _, _, _, pucs) = Tables.Paper2(s.name)
+      assert(s.cols == pc)
+      assert(s.ucs == pucs)
+      assert(s.noise > 0)
     }
-    sb.append("\n== Table 3: user constraints ==\n")
-    dss.foreach { ds =>
-      val pats = ds.ucs.byAttr.toSeq.sortBy(_._1).flatMap { case (a, uc) =>
-        def pat(u: UserConstraint): Seq[String] = u match {
-          case UserConstraint.All(cs)       => cs.flatMap(pat)
-          case UserConstraint.Pattern(r)    => Seq(s"$r[$a]")
-          case UserConstraint.Range(lo, hi) => Seq(s"[$lo,$hi][$a]")
-          case _                            => Nil
-        }
-        pat(uc)
-      }
-      val desc = if (pats.isEmpty) "max/min length + not-null on all attributes (N/A patterns)"
-      else pats.mkString("; ") + " + length/not-null on all attributes"
-      sb.append(f"${ds.name}%-11s $desc\n")
-    }
-    Harness.record("table2", sb.toString)
   }
 }

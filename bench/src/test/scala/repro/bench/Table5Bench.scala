@@ -1,48 +1,16 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Metrics
-import repro.baselines.{HoloCleanLike, PCleanLike, RahaBaranLike}
-import repro.core.BClean
 
-/** Table 5 — the sampled-Soccer comparison (the paper samples 50k of 200k
-  * because HoloClean OOMs on the full set; we sample a quarter of our scaled
-  * Soccer). BClean / HoloClean / PClean / Raha+Baran on the same sample.
+/** Table 5 — BClean / HoloClean / PClean / Raha+Baran on a Soccer sample
+  * (`Tables.table5`).
   */
 class Table5Bench extends SparkSpec {
 
-  private val paper = Map(
-    "BClean" -> (0.345, 0.931, 0.504),
-    "HoloClean" -> (0.919, 0.551, 0.689),
-    "PClean" -> (0.150, 0.665, 0.244),
-    "Raha+Baran" -> (0.523, 0.133, 0.212),
-  )
-
   test("Table 5: sampled Soccer (paper vs measured)") {
-    val full = Harness.dataset(spark, "Soccer")
-    val sampleRows = math.max(500L, Harness.soccerRows / 4)
-    val keep = org.apache.spark.sql.functions.col("_tid") < sampleRows
-    val ds = full.copy(
-      clean = full.clean.where(keep).cache(),
-      dirty = full.dirty.where(keep).cache(),
-      mask = full.mask.where(keep).cache())
-
-    val sb = new StringBuilder
-    sb.append(s"== Table 5: sampled Soccer ($sampleRows of ${Harness.soccerRows} rows) ==\n")
-    val runs = Seq(
-      "BClean" -> (() => BClean.clean(ds.dirty, ds.attrs, ds.ucs, BClean.Config.pi, userEdits = ds.fdEdges)),
-      "HoloClean" -> (() => HoloCleanLike.clean(ds)),
-      "PClean" -> (() => PCleanLike.clean(ds)),
-      "Raha+Baran" -> (() => RahaBaranLike.clean(ds)),
-    )
-    val measured = runs.map { case (name, f) =>
-      val prf = Metrics.evaluate(ds.dirty, f(), ds.clean, ds.attrs)
-      val (pp, pr, pf) = paper(name)
-      sb.append(f"$name%-11s paper=$pp%.3f/$pr%.3f/$pf%.3f  " +
-        f"measured=${prf.precision}%.3f/${prf.recall}%.3f/${prf.f1}%.3f\n")
-      name -> prf
-    }.toMap
-    Harness.record("table5", sb.toString)
+    val t = Tables.table5(spark)
+    Harness.record("table5", t.text)
+    val measured = t.rows.toMap
     // Shape: BClean's recall leads Raha+Baran's by a wide gap (paper: .931 vs .133).
     assert(measured("BClean").recall > measured("Raha+Baran").recall)
   }

@@ -1,50 +1,16 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Metrics
 
-/** Table 6 — recall per injected error type (T, M, I) on Soccer, Inpatient,
-  * and Facilities for BClean_PI and the three comparators that repair.
+/** Table 6 — recall per injected error type on Soccer, Inpatient and
+  * Facilities (`Tables.table6`).
   */
 class Table6Bench extends SparkSpec {
 
-  // paper: method -> dataset -> (recall T, M, I)
-  private val paper = Map(
-    "BClean_PI" -> Map(
-      "Soccer" -> (0.997, 1.000, 0.990),
-      "Inpatient" -> (0.840, 1.000, 0.843),
-      "Facilities" -> (0.683, 0.900, 0.837)),
-    "PClean" -> Map(
-      "Soccer" -> (1.000, 0.568, 0.953),
-      "Inpatient" -> (0.323, 0.760, 0.477),
-      "Facilities" -> (0.0, 0.0, 0.0)),
-    "HoloClean" -> Map(
-      "Soccer" -> (0.749, 1.000, 0.923),
-      "Inpatient" -> (0.954, 0.612, 0.949),
-      "Facilities" -> (0.804, 1.000, 0.851)),
-    "Raha+Baran" -> Map(
-      "Soccer" -> (0.047, 0.244, 0.018),
-      "Inpatient" -> (0.491, 0.890, 0.109),
-      "Facilities" -> (0.295, 0.501, 0.213)),
-  )
-
   test("Table 6: recall by error type (paper vs measured)") {
-    val sb = new StringBuilder
-    sb.append("== Table 6: recall per error type T/M/I (paper -> measured) ==\n")
-    val recalls = for {
-      dsName <- Seq("Soccer", "Inpatient", "Facilities")
-      method <- Seq("BClean_PI", "PClean", "HoloClean", "Raha+Baran")
-    } yield {
-      val ds = Harness.dataset(spark, dsName)
-      val run = Harness.run(spark, ds, method)
-      val rec = Metrics.recallByType(ds.dirty, run.cleaned, ds.clean, ds.attrs, ds.mask)
-      val (pt, pm, pi) = paper(method)(dsName)
-      sb.append(f"$dsName%-11s $method%-11s " +
-        f"paper T/M/I=$pt%.3f/$pm%.3f/$pi%.3f  " +
-        f"measured=${rec.getOrElse("T", 0.0)}%.3f/${rec.getOrElse("M", 0.0)}%.3f/${rec.getOrElse("I", 0.0)}%.3f\n")
-      (dsName, method, rec)
-    }
-    Harness.record("table6", sb.toString)
+    val t = Tables.table6(spark)
+    Harness.record("table6", t.text)
+    val recalls = t.rows
     // Shape: BClean's average recall across types/datasets beats Raha+Baran's.
     def avg(m: String) = {
       val rs = recalls.filter(_._2 == m).flatMap(_._3.values)

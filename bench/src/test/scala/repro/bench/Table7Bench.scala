@@ -2,51 +2,16 @@ package repro.bench
 
 import repro.SparkSpec
 
-/** Table 7 — runtime. User time is carried from the paper verbatim (there
-  * are no humans in this harness); execution time is measured on the same
-  * cached runs Table 4 used, so adding this suite costs nothing extra.
+/** Table 7 — execution time, measured on the cached runs Table 4 used, so
+  * adding this suite costs nothing extra (`Tables.table7`).
   */
 class Table7Bench extends SparkSpec {
 
-  private val paperExec = Map(
-    "PClean" -> Map("Hospital" -> "16s", "Flights" -> "7s", "Soccer" -> "30m44s",
-      "Beers" -> "2m55s", "Inpatient" -> "3m17s", "Facilities" -> "1m32s"),
-    "HoloClean" -> Map("Hospital" -> "1m40s", "Flights" -> "36s", "Soccer" -> "-",
-      "Beers" -> "1m37s", "Inpatient" -> "4m14s", "Facilities" -> "6m2s"),
-    "Raha+Baran" -> Map("Hospital" -> "1m46s", "Flights" -> "41s", "Soccer" -> "8m59s",
-      "Beers" -> "3m2s", "Inpatient" -> "10m36s", "Facilities" -> "10m55s"),
-    "Garf" -> Map("Hospital" -> "5m24s", "Flights" -> "1m57s", "Soccer" -> "18h30m",
-      "Beers" -> "2m8s", "Inpatient" -> "26m48s", "Facilities" -> "30m10s"),
-    "BClean" -> Map("Hospital" -> "25s", "Flights" -> "17s", "Soccer" -> "10h48m",
-      "Beers" -> "1m40s", "Inpatient" -> "7h41m", "Facilities" -> ">=72h"),
-    "BClean_PI" -> Map("Hospital" -> "22s", "Flights" -> "12s", "Soccer" -> "30m42s",
-      "Beers" -> "31s", "Inpatient" -> "7m57s", "Facilities" -> "17m16s"),
-    "BClean_PIP" -> Map("Hospital" -> "22s", "Flights" -> "12s", "Soccer" -> "27m46s",
-      "Beers" -> "30s", "Inpatient" -> "7m2s", "Facilities" -> "14m35s"),
-  )
-
-  private val paperUser = Map(
-    "PClean" -> ">=72h", "HoloClean" -> "12-15h", "Raha+Baran" -> "30m",
-    "Garf" -> "0", "BClean" -> "2-5h", "BClean_PI" -> "2-5h", "BClean_PIP" -> "2-5h")
-
   test("Table 7: execution time (paper vs measured; user time carried)") {
-    val sb = new StringBuilder
-    sb.append("== Table 7: runtime (user time from paper; exec paper -> measured) ==\n")
-    val dss = Harness.datasets(spark)
-    val methods = Seq("PClean", "HoloClean", "Raha+Baran", "Garf", "BClean", "BClean_PI", "BClean_PIP")
-    val measured = for (m <- methods) yield {
-      sb.append(f"-- $m (user: ${paperUser(m)}) --\n")
-      val perDs = for (ds <- dss) yield {
-        val r = Harness.run(spark, ds, m)
-        sb.append(f"${ds.name}%-11s paper=${paperExec(m).getOrElse(ds.name, "?")}%-8s " +
-          f"measured=${Harness.fmtMillis(r.millis)}\n")
-        ds.name -> r.millis
-      }
-      m -> perDs.toMap
-    }
-    Harness.record("table7", sb.toString)
+    val t = Tables.table7(spark)
+    Harness.record("table7", t.text)
     // Shape: the optimized variants dominate basic BClean on the large sets.
-    val m = measured.toMap
+    val m = t.rows.groupBy(_.method).map { case (k, rs) => k -> rs.map(r => r.dataset -> r.millis).toMap }
     for (big <- Seq("Soccer", "Inpatient", "Facilities")) {
       assert(m("BClean_PI")(big) <= m("BClean")(big),
         s"$big: PI ${m("BClean_PI")(big)}ms vs basic ${m("BClean")(big)}ms")

@@ -9,8 +9,8 @@ import repro.data.CleaningDataset
   * attribute-value pairs, which is the relational skeleton those generated
   * rules reduce to) and then applied as repairs.
   *
-  * A rule (A_i = v) → (A_j = w) is kept when support(v,w) ≥ minSupport and
-  * conf = count(v,w)/count(v) ≥ minConf. Tuples matching the LHS with a
+  * A rule (A_i = v) → (A_j = w) is kept when support(v,w) ≥ MinSupport and
+  * conf = count(v,w)/count(v) ≥ MinConf. Tuples matching the LHS with a
   * different RHS value are repaired to w. High precision, recall limited to
   * rule-covered errors — the signature Garf shows in Table 4.
   */
@@ -18,21 +18,24 @@ object GarfLike {
 
   final case class Rule(lhsAttr: Int, lhsVal: String, rhsAttr: Int, rhsVal: String, conf: Double)
 
-  def mineRules(co: CoOccurrence, minSupport: Long = 3, minConf: Double = 0.9): Seq[Rule] = {
+  val MinSupport: Long = 3
+  val MinConf: Double = 0.9
+
+  def mineRules(co: CoOccurrence): Seq[Rule] = {
     val rules = for {
       ((i, j), pairMap) <- co.pairs.toSeq
       ((vi, vj), cnt) <- pairMap.toSeq
-      if vi.nonEmpty && vj.nonEmpty && cnt >= minSupport
+      if vi.nonEmpty && vj.nonEmpty && cnt >= MinSupport
       base = co.count(i, vi)
       conf = cnt.toDouble / math.max(base, 1L)
-      if conf >= minConf
+      if conf >= MinConf
     } yield Rule(i, vi, j, vj, conf)
     rules
   }
 
-  def clean(ds: CleaningDataset, minSupport: Long = 3, minConf: Double = 0.9): DataFrame = {
+  def clean(ds: CleaningDataset): DataFrame = {
     val co = CoOccurrence.compute(ds.dirty, ds.attrs)
-    val rules = mineRules(co, minSupport, minConf)
+    val rules = mineRules(co)
     // Index rules by LHS for O(1) application; strongest rule wins per RHS.
     val byLhs: Map[(Int, String), Seq[Rule]] = rules
       .groupBy(r => (r.lhsAttr, r.lhsVal))

@@ -36,10 +36,13 @@ object HoloCleanLike {
       }
   }
 
+  val MinSupport: Long = 2   // witnesses the majority needs
+  val MinRatio: Double = 0.5 // share of the group the majority must exceed
+
   /** Repair: replace a cell by its FD-group majority when the group supports
-    * it (≥ 2 witnesses and > half the group agrees).
+    * it (≥ MinSupport witnesses and > MinRatio of the group agrees).
     */
-  def clean(ds: CleaningDataset, minSupport: Long = 2, minRatio: Double = 0.5): DataFrame = {
+  def clean(ds: CleaningDataset): DataFrame = {
     val attrPos = ds.attrs.zipWithIndex.toMap
     val maps = ds.fds.map(fd => (fd._1.map(attrPos), attrPos(fd._2), fdMajorities(ds.dirty, fd)))
     Values.mapTuples(ds.dirty, ds.attrs, maps) { (fdMaps, t) =>
@@ -49,7 +52,7 @@ object HoloCleanLike {
         mp.get(key).foreach { case (bestY, bestCnt, total) =>
           val current = t(yIdx)
           val violates = current != bestY && bestY.nonEmpty
-          if (violates && bestCnt >= minSupport && bestCnt.toDouble / total > minRatio)
+          if (violates && bestCnt >= MinSupport && bestCnt.toDouble / total > MinRatio)
             out(yIdx) = bestY
         }
       }

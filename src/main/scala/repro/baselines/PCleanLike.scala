@@ -9,7 +9,7 @@ import repro.text.EditDistance
   * to its relational essentials. The "program" (`PCleanSpec`) partitions the
   * attributes into groups, each with a *pivot* whose latent value generates
   * the group: priors are the pivot's empirical frequencies and observations
-  * are corrupted by an edit-distance typo kernel, exp(−min(ED, 9)/typoCost).
+  * are corrupted by an edit-distance typo kernel, exp(−min(ED, 9)/TypoCost).
   *
   * Inference is per-tuple MAP over the pivot domain; the group's cells are
   * rewritten to the implied latent record. PClean's strength *and* weakness
@@ -19,6 +19,8 @@ import repro.text.EditDistance
   * records are wrong and precision collapses, as in Table 4.
   */
 object PCleanLike {
+
+  val TypoCost: Double = 1.5
 
   /** For each group: pivot domain with counts, and pivot → majority implied
     * values for each determined attribute.
@@ -51,10 +53,10 @@ object PCleanLike {
     val groups = spec.groups.map { case (p, det) =>
       learnGroup(co, attrPos(p), det.map(attrPos))
     }
-    Values.mapTuples(ds.dirty, ds.attrs, (groups, spec.typoCost)) { case ((groups, typoCost), t) =>
+    Values.mapTuples(ds.dirty, ds.attrs, groups) { (groups, t) =>
       def editLik(obs: String, latent: String): Double =
         if (Values.isNull(obs)) -2.0 // missing-observation likelihood
-        else -EditDistance.atMost(obs, latent, 8).toDouble / typoCost
+        else -EditDistance.atMost(obs, latent, 8).toDouble / TypoCost
       val out = t.clone()
       groups.foreach { g =>
         // MAP over the pivot domain: prior × typo likelihood of the group.

@@ -7,8 +7,8 @@ import repro.data.{Benchmarks, CleaningDataset}
 import scala.collection.concurrent.TrieMap
 
 /** Shared experiment harness: runs every (dataset, method) pair once per JVM
-  * and caches the cleaned output + wall-clock, so the table benches (4, 5, 6,
-  * 7) and the spark-submit jobs all read from the same runs.
+  * and caches the cleaned output + wall-clock, so every table (`Tables`) reads
+  * from the same runs.
   */
 object Harness {
 
@@ -38,24 +38,32 @@ object Harness {
   def dataset(spark: SparkSession, name: String): CleaningDataset =
     datasets(spark).find(_.name == name).getOrElse(sys.error(s"unknown dataset $name"))
 
-  /** Run one method on one dataset (cached per JVM). Timing covers the full
-    * cleaning pipeline including model construction, forced by an action.
+  /** BClean with `cfg`, after the user's (light) network adjustments: per
+    * Section 7.3.2 the paper reports its numbers with them, modeled here as
+    * FD-shaped edits.
+    */
+  def bclean(ds: CleaningDataset, cfg: BClean.Config): DataFrame =
+    BClean.clean(ds.dirty, ds.attrs, ds.ucs, cfg, userEdits = ds.fdEdges)
+
+  /** The cleaned relation of `method` (one of `Methods`) on `ds`. */
+  def clean(ds: CleaningDataset, method: String): DataFrame = method match {
+    case "BClean" | "BClean-UC" | "BClean_PI" | "BClean_PIP" => bclean(ds, BClean.Config.variant(method))
+    case "PClean"     => PCleanLike.clean(ds)
+    case "HoloClean"  => HoloCleanLike.clean(ds)
+    case "Raha+Baran" => RahaBaranLike.clean(ds)
+    case "Garf"       => GarfLike.clean(ds)
+    case other        => throw new IllegalArgumentException(
+      s"unknown method '$other'; expected one of ${Methods.mkString(", ")}")
+  }
+
+  /** Run one method on one dataset (cached per JVM by dataset name). Timing
+    * covers the full cleaning pipeline including model construction, forced
+    * by an action.
     */
   def run(spark: SparkSession, ds: CleaningDataset, method: String): RunResult =
     runCache.getOrElseUpdate((ds.name, method), {
       val t0 = System.nanoTime()
-      val cleaned = method match {
-        case "BClean" | "BClean-UC" | "BClean_PI" | "BClean_PIP" =>
-          // Per Section 7.3.2, the paper's reported numbers are with the
-          // user's (light) network adjustments — modeled as FD-shaped edits.
-          BClean.clean(ds.dirty, ds.attrs, ds.ucs, BClean.Config.variant(method),
-            userEdits = ds.fdEdges)
-        case "PClean"     => PCleanLike.clean(ds)
-        case "HoloClean"  => HoloCleanLike.clean(ds)
-        case "Raha+Baran" => RahaBaranLike.clean(ds)
-        case "Garf"       => GarfLike.clean(ds)
-        case other        => sys.error(s"unknown method $other")
-      }
+      val cleaned = clean(ds, method)
       cleaned.cache().count()
       val millis = (System.nanoTime() - t0) / 1000000L
       val prf = Metrics.evaluate(ds.dirty, cleaned, ds.clean, ds.attrs)

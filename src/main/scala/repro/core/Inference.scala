@@ -60,7 +60,7 @@ object Inference {
       val skip = cfg.tuplePruning && !Values.isNull(t(j)) &&
         model.co.filterScore(t, j) >= cfg.tauClean
       if (!skip) {
-        val uc = if (cfg.useUc) model.ucs(model.attrs(j)) else UserConstraint.Unconstrained
+        val uc = model.ucs(model.attrs(j))
         // Canonical domain order (see `Stats.domain`): the strict `>` below
         // lets the earliest of equally scored candidates win.
         val base = if (cfg.domainPruning) model.prunedDomains(j) else model.domains(j)

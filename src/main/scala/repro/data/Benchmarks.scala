@@ -10,10 +10,7 @@ import repro.core.{UcSet, UserConstraint => UC}
   * the expert writing a faithful PPL model (good on Flights, poor on
   * Soccer/Beers).
   */
-final case class PCleanSpec(
-    groups: Seq[(String, Seq[String])],
-    typoCost: Double = 1.5,
-)
+final case class PCleanSpec(groups: Seq[(String, Seq[String])])
 
 /** A benchmark relation: clean ground truth, dirty observation, the injected
   * error mask, user constraints (Table 3), and the FDs handed to the

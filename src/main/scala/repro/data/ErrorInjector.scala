@@ -47,17 +47,23 @@ object ErrorInjector {
     }
   }
 
-  /** Collect up to `cap` distinct donor values per column for I/S errors. */
-  def donorPools(clean: DataFrame, attrs: Seq[String], cap: Int = 500): Map[Int, IndexedSeq[String]] =
+  /** Collect up to `cap` distinct donor values per column for I/S errors.
+    * The values are ordered by a seeded hash, ties broken by value, before
+    * the cap, so which values make a pool, and in what order, does not
+    * depend on how Spark partitions the shuffle.
+    */
+  def donorPools(clean: DataFrame, attrs: Seq[String], seed: Long = 42L,
+                 cap: Int = 500): Map[Int, IndexedSeq[String]] =
     attrs.indices.map { i =>
-      i -> clean.select(col(attrs(i))).na.drop().distinct().limit(cap).collect()
+      val c = col(attrs(i))
+      i -> clean.select(c).na.drop().distinct().orderBy(xxhash64(lit(seed), c), c).limit(cap).collect()
         .map(r => Values.norm(r.getString(0))).filter(_.nonEmpty).toIndexedSeq
     }.toMap
 
   /** @return (dirty, mask) where mask has columns (_tid, attr, errType). */
   def inject(clean: DataFrame, attrs: Seq[String], spec: Spec): (DataFrame, DataFrame) = {
     val spark = clean.sparkSession
-    val donors = donorPools(clean, attrs)
+    val donors = donorPools(clean, attrs, spec.seed)
     val schema = clean.schema
     val attrIdx = attrs.map(schema.fieldIndex).toArray
     val tidIdx = schema.fieldIndex("_tid")

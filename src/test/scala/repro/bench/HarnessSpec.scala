@@ -1,8 +1,9 @@
 package repro.bench
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
+import repro.data.Benchmarks
 
-class HarnessSpec extends AnyFunSuite {
+class HarnessSpec extends SparkSpec {
 
   test("fmtMillis renders sub-second values") {
     assert(Harness.fmtMillis(250) == "250ms")
@@ -30,5 +31,10 @@ class HarnessSpec extends AnyFunSuite {
 
   test("soccerRows default") {
     assert(Harness.soccerRows >= 500L)
+  }
+
+  test("clean rejects an unknown method by name") {
+    val e = intercept[IllegalArgumentException](Harness.clean(Benchmarks.flights(spark, rows = 20), "NoSuchCleaner"))
+    assert(e.getMessage.contains("NoSuchCleaner"))
   }
 }

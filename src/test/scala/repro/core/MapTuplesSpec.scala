@@ -3,10 +3,12 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{col, lit, when}
 import repro.SparkSpec
-import repro.baselines.{GarfLike, HoloCleanLike, PCleanLike, RahaBaranLike}
+import repro.bench.Harness
 import repro.data.{CleaningDataset, PCleanSpec}
 
-/** Every cleaner writes its repairs through `Values.mapTuples`. */
+/** Every cleaner writes its repairs through `Values.mapTuples`; each of
+  * `Harness.Methods` runs here through `Harness.clean`.
+  */
 class MapTuplesSpec extends SparkSpec {
 
   // fdTable with an all-NULL attribute `note`, a non-attribute Int column
@@ -28,19 +30,11 @@ class MapTuplesSpec extends SparkSpec {
     targetNoise = 0.05,
     errorTypes = Seq('T', 'M'))
 
-  private val cleaners: Seq[(String, CleaningDataset => DataFrame)] = Seq(
-    "BClean" -> (d => BClean.clean(d.dirty, d.attrs, d.ucs)),
-    "HoloClean" -> (d => HoloCleanLike.clean(d)),
-    "Garf" -> (d => GarfLike.clean(d)),
-    "PClean" -> (d => PCleanLike.clean(d)),
-    "Raha+Baran" -> (d => RahaBaranLike.clean(d)),
-  )
-
   test("every cleaner keeps the schema, _tid set and other columns, and leaves unrepaired NULLs NULL") {
     val in = ds.dirty.collect().map(r => r.getLong(0) -> r).toMap
     assert(in(1L).isNullAt(in(1L).fieldIndex("city")))
-    cleaners.foreach { case (name, clean) =>
-      val out = clean(ds)
+    Harness.Methods.foreach { name =>
+      val out = Harness.clean(ds, name)
       assert(out.schema == ds.dirty.schema, name)
       val rows = out.collect()
       assert(rows.map(_.getLong(0)).sorted.toSeq == in.keys.toSeq.sorted, name)

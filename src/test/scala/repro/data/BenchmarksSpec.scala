@@ -91,6 +91,18 @@ class BenchmarksSpec extends SparkSpec {
     assert(a.sameElements(b))
   }
 
+  test("dirty relation and mask do not depend on the shuffle-partition count") {
+    def generate(partitions: Int): Seq[Seq[String]] = {
+      val key = "spark.sql.shuffle.partitions"
+      val saved = spark.conf.get(key)
+      spark.conf.set(key, partitions.toString)
+      try Seq(Benchmarks.hospital(spark), Benchmarks.beers(spark)).flatMap { ds =>
+        Seq(ds.dirty, ds.mask).map(_.collect().map(_.toString).sorted.toSeq)
+      } finally spark.conf.set(key, saved)
+    }
+    assert(generate(1) == generate(8))
+  }
+
   test("flights time formats match the paper's pattern") {
     val pat = """(1[0-2]|[1-9]):[0-5][0-9] [ap]\.m\.""".r
     flights.clean.select("SchedDep").collect().foreach { r =>
