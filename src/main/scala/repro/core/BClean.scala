@@ -52,12 +52,12 @@ object BClean {
     requireStringAttrs(dirty, attrs)
     val effUcs = if (cfg.inference.useUc) ucs else UcSet.empty
     val dag0 = presetDag.getOrElse(StructureLearner.learn(dirty, attrs, cfg.structure))
-    // Everything below is derived on the driver from this one aggregation.
-    val stats = Stats.compute(dirty, attrs, effUcs, cfg.score)
-    val bn0 = BayesNet.learn(stats, dag0, cfg.cptAlpha)
     // Section 7.3.2: the user inspects the learned network and adjusts it
     // with lightweight domain knowledge (FD-shaped edges).
-    val bn = if (userEdits.isEmpty) bn0 else BayesNet.applyUserEdits(stats, bn0, userEdits)
+    val dag = dag0.reconcile(userEdits)
+    // Everything below is derived on the driver from this one aggregation.
+    val stats = Stats.compute(dirty, attrs, effUcs, cfg.score)
+    val bn = BayesNet(attrs, dag, stats.co, cfg.cptAlpha)
     val domains = stats.domains
     val pruned =
       if (cfg.inference.domainPruning) DomainPruning.prune(domains, stats.co, bn.dag, cfg.inference.topK)

@@ -4,7 +4,10 @@ import org.apache.spark.sql.DataFrame
 import repro.graph.Dag
 
 /** A learned Bayesian network over the attributes of a relation: DAG skeleton
-  * plus per-edge CPTs and root/marginal priors (Sections 4 and 6.1).
+  * plus per-edge CPTs and root/marginal priors (Sections 4 and 6.1). CPTs and
+  * priors are lookups into the counts `co` of the `Stats` pass, so the
+  * network holds no table of its own, and a user edit is a DAG edit
+  * (`copy(dag = …)`).
   *
   * Scoring conventions (all in log space, over a tuple's attribute values
   * `t` with the candidate substituted at position `j`):
@@ -25,22 +28,40 @@ import repro.graph.Dag
 final case class BayesNet(
     attrs: Seq[String],
     dag: Dag,
-    cpts: Map[Int, Seq[Cpt]],
-    priors: Map[Int, Map[String, Double]],
-    priorAlpha: Double,
+    co: CoOccurrence,
+    alpha: Double,
 ) extends Serializable {
 
   private val m = attrs.length
   // Children lists materialized once — scoring is the inference hot path.
   private val childrenOf: Array[Array[Int]] = Array.tabulate(m)(v => dag.children(v).toArray)
   private val parentsOf: Array[Array[Int]] = Array.tabulate(m)(v => dag.parents(v).toArray)
+
+  /** The edge CPTs of every node with parents, keyed by child, in the order
+    * of `dag.parents`.
+    */
+  val cpts: Map[Int, Seq[Cpt]] =
+    attrs.indices.filter(parentsOf(_).nonEmpty).map(v => v -> parentsOf(v).toSeq.map(Cpt(_, v, alpha, co))).toMap
+
+  /** Laplace-smoothed marginal Pr[A_node = v] (Section 2: parentless nodes
+    * use the prior inferred from D); a value absent from the relation gets a
+    * tiny smoothed mass. Every attribute's counts sum to nRows (NULL is
+    * counted).
+    */
   def priorProb(node: Int, v: String): Double = {
-    val p = priors(node)
-    p.getOrElse(v, priorAlpha / (p.size + 1).toDouble / 100.0) // tiny smoothed mass for unseen
+    val counts = co.unary(node)
+    counts.get(v) match {
+      case Some(c) => (c + alpha) / (co.nRows.toDouble + alpha * counts.size)
+      case None => alpha / (counts.size + 1).toDouble / 100.0
+    }
   }
 
+  /** Every attribute's prior over its domain, built on demand. */
+  def priors: Map[Int, Map[String, Double]] =
+    attrs.indices.map(v => v -> co.unary(v).map { case (x, _) => x -> priorProb(v, x) }).toMap
+
   /** Uniform log-probability of a node's domain — the "uninformative" level. */
-  def uniformLog(node: Int): Double = -math.log(math.max(priors(node).size, 1).toDouble)
+  def uniformLog(node: Int): Double = -math.log(math.max(co.unary(node).size, 1).toDouble)
 
   /** log factor of `node` carrying value `v`, parents drawn from `t` with
     * position `subst` forced to `substVal` (when subst ≥ 0). Per-edge
@@ -102,46 +123,15 @@ final case class BayesNet(
 
 object BayesNet {
 
-  /** Parameter learning for a given skeleton (Section 4). */
+  /** Parameter learning for a given skeleton (Section 4): one `Stats` pass. */
   def learn(df: DataFrame, attrs: Seq[String], dag: Dag, alpha: Double = 0.05): BayesNet =
-    learn(Stats.compute(df, attrs), dag, alpha)
+    BayesNet(attrs, dag, Stats.compute(df, attrs).co, alpha)
 
-  def learn(stats: Stats, dag: Dag, alpha: Double): BayesNet = {
-    val priors = stats.attrs.indices.map(v => v -> Cpt.prior(stats, v, alpha)).toMap
-    BayesNet(stats.attrs, dag, Cpt.learnAll(stats, dag, alpha), priors, alpha)
-  }
-
+  /** User interaction (Section 7.3.2): `bn0` on the DAG reconciled with the
+    * desired edges (`Dag.reconcile`). The CPTs read the same counts, so
+    * `df` is not read; the parameter stays for the DataFrame-level callers
+    * (ROADMAP item 5).
+    */
   def applyUserEdits(df: DataFrame, bn0: BayesNet, desired: Seq[(Int, Int)]): BayesNet =
-    applyUserEdits(Stats.compute(df, bn0.attrs), bn0, desired)
-
-  /** User interaction (Section 7.3.2): reconcile the learned network with a
-    * set of user-desired edges. For each desired edge u→v: a conflicting
-    * reverse edge v→u is removed (the user corrects the direction); if adding
-    * would still close a longer cycle the edit is skipped; otherwise the edge
-    * is added. CPTs of touched children are re-derived from `stats`, so
-    * edits run no Spark job.
-    */
-  def applyUserEdits(stats: Stats, bn0: BayesNet, desired: Seq[(Int, Int)]): BayesNet =
-    desired.foldLeft(bn0) { case (bn, (u, v)) =>
-      if (bn.dag.hasEdge(u, v)) bn
-      else {
-        val afterRemove = if (bn.dag.hasEdge(v, u)) edit(stats, bn, add = Nil, remove = Seq((v, u))) else bn
-        if (afterRemove.dag.reaches(v, u)) afterRemove // would close a cycle — skip
-        else edit(stats, afterRemove, add = Seq((u, v)))
-      }
-    }
-
-  /** User interaction (Section 4): apply edge edits and re-derive only the
-    * CPTs of nodes whose parent set changed — not all attributes.
-    */
-  def edit(stats: Stats, bn: BayesNet, add: Seq[(Int, Int)], remove: Seq[(Int, Int)] = Nil): BayesNet = {
-    val newDag0 = remove.foldLeft(bn.dag) { case (d, (u, v)) => d.removeEdge(u, v) }
-    val newDag = add.foldLeft(newDag0) { case (d, (u, v)) => d.addEdge(u, v) }
-    val touched = (add ++ remove).map(_._2).distinct
-    val cpts = (bn.cpts -- touched.filter(newDag.parents(_).isEmpty)) ++
-      touched.filter(newDag.parents(_).nonEmpty).map { v =>
-        v -> newDag.parents(v).map(p => Cpt.learn(stats, p, v, bn.priorAlpha))
-      }
-    bn.copy(dag = newDag, cpts = cpts)
-  }
+    bn0.copy(dag = bn0.dag.reconcile(desired))
 }

@@ -47,18 +47,27 @@ object ErrorInjector {
     }
   }
 
-  /** Collect up to `cap` distinct donor values per column for I/S errors.
-    * The values are ordered by a seeded hash, ties broken by value, before
-    * the cap, so which values make a pool, and in what order, does not
-    * depend on how Spark partitions the shuffle.
+  /** Collect up to `cap` distinct donor values per column for I/S errors,
+    * all columns in one aggregation. Each pool is ordered by a seeded hash,
+    * ties broken by value, before the cap, so which values make a pool, and
+    * in what order, does not depend on how Spark partitions the shuffle.
     */
   def donorPools(clean: DataFrame, attrs: Seq[String], seed: Long = 42L,
-                 cap: Int = 500): Map[Int, IndexedSeq[String]] =
+                 cap: Int = 500): Map[Int, IndexedSeq[String]] = {
+    val cells = attrs.indices.map(i => struct(lit(i) as "i", col(attrs(i)) as "v"))
+    val byAttr = clean
+      .select(explode(array(cells: _*)) as "c")
+      .select(col("c.i") as "i", col("c.v") as "v")
+      .na.drop()
+      .distinct()
+      .select(col("i"), col("v"), xxhash64(lit(seed), col("v")))
+      .collect()
+      .groupMap(_.getInt(0))(r => (r.getLong(2), r.getString(1)))
     attrs.indices.map { i =>
-      val c = col(attrs(i))
-      i -> clean.select(c).na.drop().distinct().orderBy(xxhash64(lit(seed), c), c).limit(cap).collect()
-        .map(r => Values.norm(r.getString(0))).filter(_.nonEmpty).toIndexedSeq
+      i -> byAttr.getOrElse(i, Array.empty[(Long, String)]).sorted.iterator.take(cap).map(_._2)
+        .filter(_.nonEmpty).toIndexedSeq
     }.toMap
+  }
 
   /** @return (dirty, mask) where mask has columns (_tid, attr, errType). */
   def inject(clean: DataFrame, attrs: Seq[String], spec: Spec): (DataFrame, DataFrame) = {

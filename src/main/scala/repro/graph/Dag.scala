@@ -60,6 +60,22 @@ final case class Dag(n: Int, edges: Map[(Int, Int), Double]) {
 
   def removeEdge(u: Int, v: Int): Dag = Dag(n, edges - ((u, v)))
 
+  /** User interaction (Section 7.3.2): reconcile the graph with a set of
+    * user-desired edges. For each desired edge u→v: a conflicting reverse
+    * edge v→u is removed (the user corrects the direction); if adding would
+    * still close a longer cycle the edit is skipped; otherwise the edge is
+    * added.
+    */
+  def reconcile(desired: Seq[(Int, Int)]): Dag =
+    desired.foldLeft(this) { case (d, (u, v)) =>
+      if (d.hasEdge(u, v)) d
+      else {
+        val afterRemove = if (d.hasEdge(v, u)) d.removeEdge(v, u) else d
+        if (afterRemove.reaches(v, u)) afterRemove // would close a cycle — skip
+        else afterRemove.addEdge(u, v)
+      }
+    }
+
   /** True when a directed path from `from` to `to` exists. */
   def reaches(from: Int, to: Int): Boolean = {
     val seen = scala.collection.mutable.Set(from)

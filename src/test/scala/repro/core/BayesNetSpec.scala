@@ -58,21 +58,20 @@ class BayesNetSpec extends SparkSpec {
     assert(math.abs(a - math.log(bn2.priorProb(2, "oh"))) < 1e-12)
   }
 
-  test("edit: adding an edge recomputes only the touched CPT") {
-    val edited = BayesNet.edit(Stats.compute(df, attrs), bn, add = Seq((0, 2)))
+  test("edit: adding an edge gives the CPTs of a network built on the edited DAG") {
+    val edited = bn.copy(dag = bn.dag.addEdge(0, 2))
     assert(edited.dag.parents(2) == Seq(0, 1))
     assert(edited.cpts(2).map(_.parent).sorted == Seq(0, 1))
-    // Untouched node 1 keeps its identical CPT objects.
-    assert(edited.cpts(1) eq bn.cpts(1))
+    assert(edited.cpts == BayesNet.learn(df, attrs, edited.dag).cpts)
   }
 
   test("edit: removing the only edge drops the CPT") {
-    val edited = BayesNet.edit(Stats.compute(df, attrs), bn, add = Nil, remove = Seq((1, 2)))
+    val edited = bn.copy(dag = bn.dag.removeEdge(1, 2))
     assert(edited.dag.parents(2).isEmpty)
     assert(!edited.cpts.contains(2))
   }
 
   test("edit: cycle-creating addition is rejected") {
-    intercept[IllegalArgumentException](BayesNet.edit(Stats.compute(df, attrs), bn, add = Seq((2, 0))))
+    intercept[IllegalArgumentException](bn.copy(dag = bn.dag.addEdge(2, 0)))
   }
 }

@@ -48,18 +48,18 @@ class StatsSpec extends SparkSpec {
     assert(s.pairs.isEmpty && s.corr.isEmpty)
     assert(s.unary == Map(0 -> Map("a" -> 2L, "b" -> 1L, "" -> 1L)))
     assert(s.domain(0) == IndexedSeq("a", "", "b"))
-    val bn = BayesNet.learn(s, Dag.empty(1), alpha = 0.0)
+    val bn = BayesNet(s.attrs, Dag.empty(1), s.co, alpha = 0.0)
     assert(bn.cpts.isEmpty)
     assert(bn.priors(0) == Map("a" -> 0.5, "b" -> 0.25, "" -> 0.25))
   }
 
-  test("applyUserEdits from Stats starts no Spark job") {
-    val bn0 = BayesNet.learn(stats, Dag(3, Map((0, 1) -> 1.0)), alpha = 0.05)
-    val (bn, jobs) = jobsOf(BayesNet.applyUserEdits(stats, bn0, Seq((1, 2), (0, 2), (1, 0))))
+  test("applyUserEdits starts no Spark job") {
+    val bn0 = BayesNet(attrs, Dag(3, Map((0, 1) -> 1.0)), stats.co, alpha = 0.05)
+    val (bn, jobs) = jobsOf(BayesNet.applyUserEdits(dirty, bn0, Seq((1, 2), (0, 2), (1, 0))))
     assert(jobs == 0)
     assert(bn.dag.parents(2).sorted == Seq(0, 1))
-    // Same CPTs as re-learning the edited network from scratch.
-    assert(bn.cpts == BayesNet.learn(stats, bn.dag, alpha = 0.05).cpts)
+    // Same CPTs as learning the edited network from scratch.
+    assert(bn.cpts == BayesNet.learn(dirty, attrs, bn.dag, alpha = 0.05).cpts)
   }
 
   test("buildModel starts at most two jobs beyond structure learning") {

@@ -1,5 +1,7 @@
 package repro.data
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.{col, lit, xxhash64}
 import repro.SparkSpec
 import repro.core.Values
 
@@ -98,5 +100,26 @@ class ErrorInjectorSpec extends SparkSpec {
     val pools = ErrorInjector.donorPools(clean, attrs, cap = 10)
     assert(pools.values.forall(p => p.nonEmpty && p.length <= 10))
     assert(pools.values.forall(_.forall(_.nonEmpty)))
+  }
+
+  /** Donor pools by one distinct → orderBy → limit → collect query per column. */
+  private def donorPoolsPerColumn(clean: DataFrame, attrs: Seq[String], seed: Long,
+                                  cap: Int = 500): Map[Int, IndexedSeq[String]] =
+    attrs.indices.map { i =>
+      val c = col(attrs(i))
+      i -> clean.select(c).na.drop().distinct().orderBy(xxhash64(lit(seed), c), c).limit(cap).collect()
+        .map(r => Values.norm(r.getString(0))).filter(_.nonEmpty).toIndexedSeq
+    }.toMap
+
+  test("donor pools from one aggregation equal the per-column queries on the six default datasets") {
+    // Each generator's default seed, the one `inject` hands to `donorPools`.
+    val seeds = Map("Hospital" -> 11L, "Flights" -> 13L, "Soccer" -> 17L, "Beers" -> 19L, "Inpatient" -> 23L,
+      "Facilities" -> 29L)
+    Benchmarks.all(spark).foreach { ds =>
+      val seed = seeds(ds.name)
+      val (pools, jobs) = jobsOf(ErrorInjector.donorPools(ds.clean, ds.attrs, seed))
+      assert(pools == donorPoolsPerColumn(ds.clean, ds.attrs, seed), ds.name)
+      assert(jobs <= 2, s"${ds.name}: $jobs jobs")
+    }
   }
 }

@@ -75,6 +75,12 @@ class DagSpec extends AnyFunSuite {
     assert(!chain.reaches(2, 0))
   }
 
+  test("reconcile keeps an existing edge, skips a cycle-closing one and flips a reverse one") {
+    // 2→0 would close 0→1→2; 1→0 replaces 0→1.
+    val d = chain.reconcile(Seq((1, 2), (2, 0), (1, 0)))
+    assert(d.edges == Map((1, 2) -> 0.5, (1, 0) -> 1.0))
+  }
+
   test("capParents keeps the strongest k parents") {
     val d = Dag(4, Map((0, 3) -> 0.9, (1, 3) -> 0.2, (2, 3) -> 0.5))
     val capped = d.capParents(2)
