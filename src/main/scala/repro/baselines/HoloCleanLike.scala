@@ -1,7 +1,7 @@
 package repro.baselines
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.{array, col, explode, lit, struct}
 import repro.core.Values
 import repro.data.CleaningDataset
 
@@ -16,24 +16,33 @@ import repro.data.CleaningDataset
   */
 object HoloCleanLike {
 
-  /** FD repair map: X-values → (majority Y, majority count, group size). */
+  /** FD repair maps, one per FD of `fds`: X-values → (majority Y, majority
+    * count, group size). Every FD's groups come from one aggregation.
+    */
   def fdMajorities(
       dirty: DataFrame,
-      fd: (Seq[String], String),
-  ): Map[Seq[String], (String, Long, Long)] = {
-    val (xs, y) = fd
-    val grouped = dirty.na.fill("", xs :+ y)
-      .groupBy((xs :+ y).map(col): _*).count().collect()
-    grouped
-      .groupBy(r => xs.indices.map(i => Values.norm(r.getString(i))): Seq[String])
-      .map { case (k, rows) =>
-        // NULL never wins the majority vote — it is an error signal itself.
-        val candidates = rows.map(r => (Values.norm(r.getString(xs.length)), r.getLong(xs.length + 1)))
-        val total = candidates.map(_._2).sum
-        val (bestY, bestCnt) = candidates.filter(_._1.nonEmpty)
-          .sortBy { case (v, c) => (-c, v) }.headOption.getOrElse(("", 0L))
-        k -> (bestY, bestCnt, total)
-      }
+      fds: Seq[(Seq[String], String)],
+  ): Seq[Map[Seq[String], (String, Long, Long)]] = {
+    if (fds.isEmpty) return Seq.empty
+    val cells = fds.zipWithIndex.map { case ((xs, y), f) =>
+      struct(lit(f) as "f", array(xs.map(col): _*) as "x", col(y) as "y")
+    }
+    val byFd = dirty.na.fill("", fds.flatMap { case (xs, y) => xs :+ y }.distinct)
+      .select(explode(array(cells: _*)) as "c")
+      .groupBy(col("c.f"), col("c.x"), col("c.y")).count().collect()
+      .groupBy(_.getInt(0))
+    fds.indices.map { f =>
+      byFd.getOrElse(f, Array.empty[Row])
+        .groupBy(r => r.getSeq[String](1).map(Values.norm))
+        .map { case (k, rows) =>
+          // NULL never wins the majority vote — it is an error signal itself.
+          val candidates = rows.map(r => (Values.norm(r.getString(2)), r.getLong(3)))
+          val total = candidates.map(_._2).sum
+          val (bestY, bestCnt) = candidates.filter(_._1.nonEmpty)
+            .sortBy { case (v, c) => (-c, v) }.headOption.getOrElse(("", 0L))
+          k -> (bestY, bestCnt, total)
+        }
+    }
   }
 
   val MinSupport: Long = 2   // witnesses the majority needs
@@ -44,7 +53,9 @@ object HoloCleanLike {
     */
   def clean(ds: CleaningDataset): DataFrame = {
     val attrPos = ds.attrs.zipWithIndex.toMap
-    val maps = ds.fds.map(fd => (fd._1.map(attrPos), attrPos(fd._2), fdMajorities(ds.dirty, fd)))
+    val maps = ds.fds.zip(fdMajorities(ds.dirty, ds.fds)).map { case ((xs, y), mp) =>
+      (xs.map(attrPos), attrPos(y), mp)
+    }
     Values.mapTuples(ds.dirty, ds.attrs, maps) { (fdMaps, t) =>
       val out = t.clone()
       fdMaps.foreach { case (xIdx, yIdx, mp) =>

@@ -74,8 +74,9 @@ object RahaBaranLike {
     val co = CoOccurrence.compute(dirty, ds.attrs)
     val sizes = columnSizes(co)
     val patterns = patternHistogram(co)
-    val fdMaps = ds.fds.map(fd =>
-      (fd._1.map(attrPos), attrPos(fd._2), HoloCleanLike.fdMajorities(dirty, fd)))
+    val fdMaps = ds.fds.zip(HoloCleanLike.fdMajorities(dirty, ds.fds)).map { case ((xs, y), mp) =>
+      (xs.map(attrPos), attrPos(y), mp)
+    }
 
     // ---- detector weighting on the labeled sample (tuples 0..Labels-1) ----
     import org.apache.spark.sql.functions.col

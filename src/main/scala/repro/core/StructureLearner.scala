@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.Partitioner
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 import repro.linalg.{GraphicalLasso, Mat}
@@ -14,9 +15,9 @@ import repro.text.Similarity
   * partition, compute the m-dimensional similarity vector of every adjacent
   * tuple pair. These vectors are treated as observations of a multivariate
   * Gaussian; graphical lasso estimates the inverse covariance Θ, which is
-  * decomposed as Θ = (I−B)ᵀΩ⁻¹(I−B) (UDUᵀ under a sink-first ordering per
-  * Ghoshal–Honorio) to recover the autoregression matrix B. Entries of B with
-  * |weight| ≥ threshold become directed BN edges.
+  * decomposed as Θ = (I−B)ᵀΩ⁻¹(I−B) (one elimination in the sink-first
+  * order of Ghoshal–Honorio) to recover the autoregression matrix B. Entries
+  * of B with |weight| ≥ threshold become directed BN edges.
   *
   * The pairs are exact: every attribute's sorted block lies in one
   * partition, so all m·(n−1) adjacent pairs are scored, and ties on the
@@ -33,19 +34,9 @@ object StructureLearner {
   val EdgeThreshold: Double = 0.12 // min |B| weight kept as an edge
   val Ridge: Double = 1e-3         // diagonal ridge for degenerate covariances
 
-  /** Sufficient statistics of the similarity observations. */
-  final case class MomentStats(n: Long, sum: Array[Double], prod: Array[Double]) {
-    def merge(o: MomentStats): MomentStats = {
-      val s = sum.clone(); val p = prod.clone()
-      var i = 0; while (i < s.length) { s(i) += o.sum(i); i += 1 }
-      i = 0; while (i < p.length) { p(i) += o.prod(i); i += 1 }
-      MomentStats(n + o.n, s, p)
-    }
-  }
-
   /** Adjacent-pair similarity observations (the FDX trick from the paper's
     * Remarks: sorting by A brings equal-on-A tuples next to each other, so
-    * only m·(n−1) pairs are scored instead of n²). Returns a Dataset of
+    * only m·(n−1) pairs are scored instead of n²). Returns an RDD of
     * m-dimensional similarity vectors; partition k holds attribute k's block.
     *
     * One shuffle serves every attribute: each row is tagged with its input
@@ -53,9 +44,7 @@ object StructureLearner {
     * (a, t[a], position). Partitioning on a and sorting within partitions
     * lays attribute a's whole sorted block out as partition a.
     */
-  def similarityObservations(df: DataFrame, attrs: Seq[String]): Dataset[Array[Double]] = {
-    val spark = df.sparkSession
-    import spark.implicits._
+  def similarityObservations(df: DataFrame, attrs: Seq[String]): RDD[Array[Double]] = {
     val m = attrs.length
     val keyed = df.select(attrs.map(col): _*).rdd.mapPartitionsWithIndex { (pid, rows) =>
       var idx = -1L
@@ -71,7 +60,7 @@ object StructureLearner {
     implicit val keyOrder: Ordering[(Int, Option[String], Int, Long)] =
       Ordering.Tuple4(Ordering.Int, Ordering.Option(Ordering.String), Ordering.Int, Ordering.Long)
     val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
-    spark.createDataset(blocks.mapPartitions { rows =>
+    blocks.mapPartitions { rows =>
       var prev: Array[String] = null
       rows.flatMap { case (_, cur) =>
         val out =
@@ -83,7 +72,7 @@ object StructureLearner {
         prev = cur
         out
       }
-    })
+    }
   }
 
   /** Sends key (a, …) to partition a: one partition per attribute. */
@@ -97,11 +86,8 @@ object StructureLearner {
     * output of `similarityObservations` Σ is bit-identical whatever the
     * shuffle-partition or core count.
     */
-  def covariance(obs: Dataset[Array[Double]], m: Int): Mat = {
-    val spark = obs.sparkSession
-    import spark.implicits._
-    val zero = MomentStats(0L, new Array[Double](m), new Array[Double](m * m))
-    val stats = obs
+  def covariance(obs: RDD[Array[Double]], m: Int): Mat = {
+    val partials = obs
       .mapPartitions { it =>
         val sum = new Array[Double](m)
         val prod = new Array[Double](m * m)
@@ -116,53 +102,47 @@ object StructureLearner {
             i += 1
           }
         }
-        if (n == 0) Iterator.empty else Iterator.single(MomentStats(n, sum, prod))
+        if (n == 0) Iterator.empty else Iterator.single((n, sum, prod))
       }
       .collect() // ≤ one partial per partition — tiny
-      .foldLeft(zero)(_ merge _)
-    val n = math.max(stats.n, 1L).toDouble
+    val sum = new Array[Double](m)
+    val prod = new Array[Double](m * m)
+    partials.foreach { case (_, s, p) =>
+      for (i <- 0 until m) sum(i) += s(i)
+      for (i <- 0 until m * m) prod(i) += p(i)
+    }
+    val n = math.max(partials.map(_._1).sum, 1L).toDouble
     val sigma = Mat.zeros(m, m)
     for (i <- 0 until m; j <- 0 until m)
-      sigma(i, j) = stats.prod(i * m + j) / n - (stats.sum(i) / n) * (stats.sum(j) / n)
+      sigma(i, j) = prod(i * m + j) / n - (sum(i) / n) * (sum(j) / n)
     sigma
   }
 
-  /** Ghoshal–Honorio sink-first variable ordering: repeatedly pick the node
-    * with the minimum diagonal entry of the (Schur-complemented) precision —
-    * a terminal vertex of the underlying SEM — and place it last.
+  /** Ghoshal–Honorio sink-first decomposition of Θ = (I−B)ᵀΩ⁻¹(I−B):
+    * repeatedly pick the node with the minimum diagonal entry of the
+    * (Schur-complemented) precision — a terminal vertex of the underlying
+    * SEM — place it last, read its weights on every remaining node off the
+    * same precision, B(best, k) = −Θ(k, best)/Θ(best, best), and eliminate
+    * it. Returns the order (roots first) and B(child, parent). Throws on a
+    * pivot ≤ 1e-12, i.e. when Θ is not positive definite.
     */
-  def sinkOrdering(theta: Mat): Seq[Int] = {
+  def decompose(theta: Mat): (Seq[Int], Mat) = {
     val p = theta.rows
-    var remaining = (0 until p).toVector
-    var cur = theta.copy
-    var order = List.empty[Int]
-    while (remaining.length > 1) {
-      var best = 0
-      for (k <- remaining.indices) if (cur(k, k) < cur(best, best)) best = k
-      order = remaining(best) :: order
-      val keep = remaining.indices.filter(_ != best).toVector
-      val next = Mat.zeros(keep.length, keep.length)
-      val drr = cur(best, best)
-      for (i <- keep.indices; j <- keep.indices)
-        next(i, j) = cur(keep(i), keep(j)) - cur(keep(i), best) * cur(best, keep(j)) / drr
-      cur = next
-      remaining = keep.map(remaining)
-    }
-    (remaining.head :: order).toSeq
-  }
-
-  /** Decompose Θ into the autoregression matrix B under `order` (roots first):
-    * permute Θ, factor UDUᵀ, read B̃ = I − Uᵀ, un-permute. B(child,parent).
-    */
-  def autoregression(theta: Mat, order: Seq[Int]): Mat = {
-    val p = theta.rows
-    val perm = Mat.zeros(p, p)
-    for (i <- 0 until p; j <- 0 until p) perm(i, j) = theta(order(i), order(j))
-    val (u, _) = Mat.udu(perm)
+    val cur = theta.copy
     val b = Mat.zeros(p, p)
-    for (i <- 0 until p; j <- 0 until i) // B̃ strictly lower triangular: B̃(i,j) = −U(j,i)
-      b(order(i), order(j)) = -u(j, i)
-    b
+    var remaining = (0 until p).toVector
+    var order = List.empty[Int]
+    while (remaining.nonEmpty) {
+      var best = remaining.head
+      for (k <- remaining) if (cur(k, k) < cur(best, best)) best = k
+      val d = cur(best, best)
+      if (d <= 1e-12) throw new ArithmeticException(s"precision not positive definite at node $best (pivot $d)")
+      remaining = remaining.filter(_ != best)
+      for (k <- remaining) b(best, k) = -cur(k, best) / d
+      for (i <- remaining; j <- remaining) cur(i, j) -= cur(i, best) * cur(best, j) / d
+      order = best :: order
+    }
+    (order, b)
   }
 
   /** Normalize a covariance to a correlation matrix so the glasso penalty is
@@ -191,8 +171,7 @@ object StructureLearner {
     val corr = toCorrelation(sigma)
     for (i <- 0 until m) corr(i, i) += Ridge
     val theta = GraphicalLasso.fit(corr, Rho).theta
-    val order = sinkOrdering(theta)
-    val b = autoregression(theta, order)
+    val (_, b) = decompose(theta)
     // Pooling the per-attribute sorted blocks induces a *negative* artifact
     // correlation between independent attributes (the sorted attribute's
     // similarity is high exactly when the others sit at baseline), while

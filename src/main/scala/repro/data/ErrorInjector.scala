@@ -94,6 +94,12 @@ object ErrorInjector {
           if (!spec.exclude.contains(attrs(k)) && rng.nextDouble() < spec.rate) {
             val v = Values.norm(row.getString(attrIdx(k)))
             val t = types(rng.nextInt(types.length))
+            // A donor ≠ v, drawn up to six times; None when every draw hit v.
+            def donor(pool: IndexedSeq[String]): Option[String] = {
+              var cand = pool(rng.nextInt(pool.length)); var tries = 0
+              while (cand == v && tries < 5) { cand = pool(rng.nextInt(pool.length)); tries += 1 }
+              if (cand == v) None else Some(cand)
+            }
             val replacement: Option[String] = t match {
               case 'T' if v.nonEmpty => Some(typo(v, rng))
               case 'M' if v.nonEmpty => Some("")
@@ -102,20 +108,10 @@ object ErrorInjector {
                   if (m > 1 && rng.nextBoolean()) { var o = rng.nextInt(m); while (o == k) o = rng.nextInt(m); o }
                   else k
                 val pool = donors(otherCol)
-                if (pool.isEmpty) None
-                else {
-                  var cand = pool(rng.nextInt(pool.length)); var tries = 0
-                  while (cand == v && tries < 5) { cand = pool(rng.nextInt(pool.length)); tries += 1 }
-                  if (cand == v) None else Some(cand)
-                }
+                if (pool.isEmpty) None else donor(pool)
               case 'S' =>
                 val pool = donors(k)
-                if (pool.length < 2) None
-                else {
-                  var cand = pool(rng.nextInt(pool.length)); var tries = 0
-                  while (cand == v && tries < 5) { cand = pool(rng.nextInt(pool.length)); tries += 1 }
-                  if (cand == v) None else Some(cand)
-                }
+                if (pool.length < 2) None else donor(pool)
               case _ => None
             }
             replacement.foreach { nv =>

@@ -20,16 +20,6 @@ final case class Dag(n: Int, edges: Map[(Int, Int), Double]) {
   /** One-hop sub-network of Section 6.1: A_joint = parents ∪ {v} ∪ children. */
   def subNetwork(v: Int): Set[Int] = (parents(v) ++ children(v)).toSet + v
 
-  /** Markov blanket: parents, children, and children's other parents. */
-  def markovBlanket(v: Int): Set[Int] = {
-    val ch = children(v)
-    (parents(v) ++ ch ++ ch.flatMap(parents)).toSet - v
-  }
-
-  /** Partition of Section 6.1: one sub-network per non-isolated node. */
-  def partition: Map[Int, Set[Int]] =
-    (0 until n).filterNot(isolated.contains).map(v => v -> subNetwork(v)).toMap
-
   def isAcyclic: Boolean = topologicalOrder.isDefined
 
   /** Kahn's algorithm; None when a cycle exists. */

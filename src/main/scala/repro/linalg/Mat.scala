@@ -103,36 +103,4 @@ object Mat {
     for (i <- 0 until n; j <- 0 until n) out(i, j) = aug(i, n + j)
     out
   }
-
-  /** UDUᵀ factorization of a symmetric positive-definite matrix:
-    * Θ = U·diag(d)·Uᵀ with U unit *upper* triangular. This is the "backward"
-    * Cholesky used to read the autoregression matrix B = I − Uᵀ off the
-    * (permuted) inverse covariance, per FDX / Loh–Bühlmann: for a linear SEM
-    * x = Bx + ε with B strictly lower triangular in topological order and
-    * diag noise, Θ = (I−B)ᵀ Ω⁻¹ (I−B) = U D Uᵀ with U = (I−B)ᵀ.
-    */
-  def udu(theta: Mat): (Mat, Array[Double]) = {
-    require(theta.isSquare, "udu needs square matrix")
-    val n = theta.rows
-    val u = eye(n)
-    val d = new Array[Double](n)
-    var j = n - 1
-    while (j >= 0) {
-      var s = theta(j, j)
-      var k = j + 1
-      while (k < n) { s -= u(j, k) * u(j, k) * d(k); k += 1 }
-      if (s <= 1e-12) throw new ArithmeticException(s"matrix not positive definite at pivot $j (d=$s)")
-      d(j) = s
-      var i = 0
-      while (i < j) {
-        var t = theta(i, j)
-        k = j + 1
-        while (k < n) { t -= u(i, k) * u(j, k) * d(k); k += 1 }
-        u(i, j) = t / s
-        i += 1
-      }
-      j -= 1
-    }
-    (u, d)
-  }
 }

@@ -5,7 +5,9 @@ package repro.text
   */
 object EditDistance {
 
-  /** Classic two-row dynamic program; O(|a|·|b|) time, O(min) space. */
+  /** Classic two-row dynamic program; O(|a|·|b|) time, O(min) space. The
+    * full-DP reference that `atMost` is tested against.
+    */
   def apply(a: String, b: String): Int = {
     if (a == b) return 0
     if (a.isEmpty) return b.length

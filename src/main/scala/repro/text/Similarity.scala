@@ -14,7 +14,9 @@ object Similarity {
     if (a == null || b == null) return if (a == null && b == null) 1.0 else 0.0
     if (a.isEmpty || b.isEmpty) return if (a.isEmpty && b.isEmpty) 1.0 else 0.0
     if (a == b) return 1.0
-    val d = EditDistance(a, b)
+    // Past half the total length the clamp gives 0 anyway, so the banded
+    // DP may stop there.
+    val d = EditDistance.atMost(a, b, (a.length + b.length) / 2)
     clamp(1.0 - 2.0 * d / (a.length + b.length))
   }
 

@@ -1,7 +1,9 @@
 package repro.baselines
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.{CoOccurrence, Metrics}
+import repro.core.{CoOccurrence, Metrics, Values}
 import repro.data.Benchmarks
 
 class BaselinesSpec extends SparkSpec {
@@ -10,11 +12,34 @@ class BaselinesSpec extends SparkSpec {
   private lazy val ds = Benchmarks.hospital(spark, rows = 300, seed = 3)
 
   test("HoloCleanLike: fdMajorities picks the dominant RHS") {
-    val mp = HoloCleanLike.fdMajorities(ds.dirty, Seq("ZipCode") -> "City")
+    val mp = HoloCleanLike.fdMajorities(ds.dirty, Seq(Seq("ZipCode") -> "City")).head
     assert(mp.nonEmpty)
     mp.values.foreach { case (best, cnt, total) =>
       assert(cnt <= total)
       assert(best.nonEmpty || total > 0)
+    }
+  }
+
+  /** One FD's repair map by its own groupBy → collect query. */
+  private def fdMajorityPerFd(dirty: DataFrame, fd: (Seq[String], String)): Map[Seq[String], (String, Long, Long)] = {
+    val (xs, y) = fd
+    dirty.na.fill("", xs :+ y).groupBy((xs :+ y).map(col): _*).count().collect()
+      .groupBy(r => xs.indices.map(i => Values.norm(r.getString(i))): Seq[String])
+      .map { case (k, rows) =>
+        val candidates = rows.map(r => (Values.norm(r.getString(xs.length)), r.getLong(xs.length + 1)))
+        val (bestY, bestCnt) = candidates.filter(_._1.nonEmpty)
+          .sortBy { case (v, c) => (-c, v) }.headOption.getOrElse(("", 0L))
+        k -> (bestY, bestCnt, candidates.map(_._2).sum)
+      }
+  }
+
+  test("fdMajorities from one aggregation equal the per-FD queries on the six default datasets") {
+    Benchmarks.all(spark).foreach { ds =>
+      assert(ds.fds.nonEmpty, ds.name)
+      val reference = ds.fds.map(fdMajorityPerFd(ds.dirty, _)) // also fills the cached dirty relation
+      val (maps, jobs) = jobsOf(HoloCleanLike.fdMajorities(ds.dirty, ds.fds))
+      assert(maps == reference, ds.name)
+      assert(jobs <= 2, s"${ds.name}: $jobs jobs")
     }
   }
 

@@ -24,7 +24,7 @@ class DomainPruningSpec extends SparkSpec {
 
   test("kept values appear in some sub-network context") {
     val pruned = DomainPruning.prune(domains, co, dag, topK = 4)
-    val netValues = dag.partition.values.toSeq.distinct
+    val netValues = (0 until dag.n).filterNot(dag.isolated.contains).map(dag.subNetwork).distinct
       .map(_.flatMap(a => domains(a)))
     pruned.values.flatten.foreach { v =>
       assert(netValues.exists(_.contains(v)), s"value $v outside every sub-network")

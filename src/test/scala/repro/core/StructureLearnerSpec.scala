@@ -52,7 +52,7 @@ class StructureLearnerSpec extends SparkSpec {
     assert(multi.rdd.getNumPartitions == 5)
     val blocks = StructureLearner.similarityObservations(multi, attrs)
     assert(blocks.count() == 3 * 59)
-    assert(blocks.rdd.glom().map(_.length).collect().toSeq == Seq(59, 59, 59))
+    assert(blocks.glom().map(_.length).collect().toSeq == Seq(59, 59, 59))
   }
 
   test("covariance equals a driver-side stable sort over all m·(n−1) pairs") {
@@ -120,7 +120,7 @@ class StructureLearnerSpec extends SparkSpec {
     // [[4.14,−1.94,0],[−1.94,4.14,−1.94],[0,−1.94,2.78]] — the sink x2 has
     // the smallest diagonal.
     val theta = Mat.of(3, 3)(4.14, -1.94, 0.0, -1.94, 4.14, -1.94, 0.0, -1.94, 2.78)
-    val ord = StructureLearner.sinkOrdering(theta)
+    val (ord, _) = StructureLearner.decompose(theta)
     assert(ord.last == 2)
     assert(ord.head == 0 || ord.head == 1)
   }
@@ -131,8 +131,7 @@ class StructureLearnerSpec extends SparkSpec {
     val b0 = Mat.zeros(3, 3); b0(1, 0) = 0.8; b0(2, 1) = 0.5
     val imb = Mat.eye(3) - b0
     val theta = imb.t * imb
-    val order = Seq(0, 1, 2)
-    val b = StructureLearner.autoregression(theta, order)
+    val (_, b) = StructureLearner.decompose(theta)
     assert(math.abs(b(1, 0) - 0.8) < 1e-9, b.toString)
     assert(math.abs(b(2, 1) - 0.5) < 1e-9)
     assert(math.abs(b(2, 0)) < 1e-9)

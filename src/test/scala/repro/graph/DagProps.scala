@@ -27,8 +27,11 @@ object DagProps extends Properties("Dag") {
 
   property("subNetwork contains the node and is within the blanket+node") = Prop.forAll(genDag) { d =>
     (0 until d.n).forall { v =>
+      // Markov blanket, read off the edge map: parents, children, co-parents.
+      val children = d.edges.keySet.collect { case (`v`, c) => c }
+      val blanket = d.edges.keySet.collect { case (u, w) if w == v || children(w) => u } ++ children - v
       val sn = d.subNetwork(v)
-      sn.contains(v) && sn.subsetOf(d.markovBlanket(v) + v)
+      sn.contains(v) && sn.subsetOf(blanket + v)
     }
   }
 
@@ -44,6 +47,6 @@ object DagProps extends Properties("Dag") {
   }
 
   property("isolated nodes have empty sub-partition") = Prop.forAll(genDag) { d =>
-    d.isolated.forall(v => !d.partition.contains(v))
+    d.isolated.forall(v => d.subNetwork(v) == Set(v))
   }
 }

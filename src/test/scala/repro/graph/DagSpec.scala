@@ -48,15 +48,11 @@ class DagSpec extends AnyFunSuite {
     assert(chain.subNetwork(0) == Set(0, 1))
   }
 
-  test("markovBlanket includes co-parents") {
-    // v-structure: 0 → 2 ← 1. Blanket of 0 must include co-parent 1.
-    val v = Dag(3, Map((0, 2) -> 1.0, (1, 2) -> 1.0))
-    assert(v.markovBlanket(0) == Set(1, 2))
-  }
-
   test("partition covers exactly the non-isolated nodes") {
+    // Section 6.1's partition: one sub-network per non-isolated node.
     val d = Dag(4, Map((0, 1) -> 1.0)) // 2, 3 isolated
-    assert(d.partition.keySet == Set(0, 1))
+    assert(d.isolated == Seq(2, 3))
+    assert((0 until 4).filterNot(d.isolated.contains).map(d.subNetwork) == Seq(Set(0, 1), Set(0, 1)))
   }
 
   test("addEdge adds and rejects cycles") {

@@ -89,34 +89,6 @@ class MatSpec extends AnyFunSuite {
     assert(s(0, 0) == 1 && s(0, 1) == 3 && s(1, 0) == 7 && s(1, 1) == 9)
   }
 
-  test("udu reconstructs a PD matrix") {
-    // Θ = UDUᵀ must reproduce Θ for symmetric positive definite input.
-    val theta = Mat.of(3, 3)(4, 1, 0.5, 1, 3, 0.2, 0.5, 0.2, 2)
-    val (u, d) = Mat.udu(theta)
-    val dm = Mat.zeros(3, 3); for (i <- 0 until 3) dm(i, i) = d(i)
-    val rec = u * dm * u.t
-    assert(rec.maxAbsDiff(theta) < 1e-9)
-  }
-
-  test("udu U is unit upper triangular, d positive") {
-    val theta = Mat.of(3, 3)(4, 1, 0.5, 1, 3, 0.2, 0.5, 0.2, 2)
-    val (u, d) = Mat.udu(theta)
-    for (i <- 0 until 3) assert(u(i, i) == 1.0)
-    for (i <- 0 until 3; j <- 0 until i) assert(u(i, j) == 0.0)
-    assert(d.forall(_ > 0))
-  }
-
-  test("udu rejects a non-PD matrix") {
-    intercept[ArithmeticException](Mat.udu(Mat.of(2, 2)(1, 2, 2, 1)))
-  }
-
-  test("udu on diagonal matrix returns identity U") {
-    val theta = Mat.of(2, 2)(3, 0, 0, 5)
-    val (u, d) = Mat.udu(theta)
-    assert(u.maxAbsDiff(Mat.eye(2)) == 0.0)
-    assert(d.toSeq == Seq(3.0, 5.0))
-  }
-
   test("property: (A+B) == (B+A) over random seeds") {
     for (s <- 1 to 50) {
       val rng = new java.util.Random(s)
@@ -132,18 +104,6 @@ class MatSpec extends AnyFunSuite {
       val a = new Mat(4, 4, Array.fill(16)(rng.nextDouble()))
       for (i <- 0 until 4) a(i, i) = 5.0 + rng.nextDouble()
       assert((Mat.inverse(a) * a).maxAbsDiff(Mat.eye(4)) < 1e-8)
-    }
-  }
-
-  test("property: udu reconstructs random SPD matrices") {
-    for (s <- 1 to 50) {
-      val rng = new java.util.Random(s)
-      val g = new Mat(4, 4, Array.fill(16)(rng.nextGaussian()))
-      val spd = g * g.t
-      for (i <- 0 until 4) spd(i, i) += 0.5
-      val (u, d) = Mat.udu(spd)
-      val dm = Mat.zeros(4, 4); for (i <- 0 until 4) dm(i, i) = d(i)
-      assert((u * dm * u.t).maxAbsDiff(spd) < 1e-8)
     }
   }
 }

@@ -1,6 +1,7 @@
 package repro.text
 
 import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.Prop.propBoolean
 
 /** ScalaCheck property suite for the edit-distance substrate. */
 object EditDistanceProps extends Properties("EditDistance") {
@@ -32,6 +33,14 @@ object EditDistanceProps extends Properties("EditDistance") {
   property("atMost is the distance capped at bound + 1") =
     Prop.forAll(Gen.oneOf(word, nearWord), Gen.oneOf(word, nearWord), Gen.choose(0, 14)) { (a, b, bound) =>
       EditDistance.atMost(a, b, bound) == math.min(EditDistance(a, b), bound + 1)
+    }
+
+  property("string similarity is the clamped full-DP formula") =
+    Prop.forAll(Gen.oneOf(word, nearWord), Gen.oneOf(word, nearWord)) { (a, b) =>
+      (a.nonEmpty && b.nonEmpty) ==> {
+        val full = 1.0 - 2.0 * EditDistance(a, b) / (a.length + b.length)
+        Similarity.string(a, b) == math.min(1.0, math.max(0.0, full))
+      }
     }
 
   property("similarity stays within [0,1]") = Prop.forAll(word, word) { (a, b) =>
