@@ -43,6 +43,11 @@ final case class BayesNet(
   val cpts: Map[Int, Seq[Cpt]] =
     attrs.indices.filter(parentsOf(_).nonEmpty).map(v => v -> parentsOf(v).toSeq.map(Cpt(_, v, alpha, co))).toMap
 
+  // Per node: its edge CPTs (empty for a root) and its uniform log level,
+  // read by every scored candidate. Rebuilt in each JVM, not serialized.
+  @transient private lazy val cptsOf: Array[Array[Cpt]] = Array.tabulate(m)(v => cpts.getOrElse(v, Nil).toArray)
+  @transient private lazy val uniformLogs: Array[Double] = Array.tabulate(m)(uniformLog)
+
   /** Laplace-smoothed marginal Pr[A_node = v] (Section 2: parentless nodes
     * use the prior inferred from D); a value absent from the relation gets a
     * tiny smoothed mass. Every attribute's counts sum to nRows (NULL is
@@ -70,22 +75,22 @@ final case class BayesNet(
     */
   def nodeFactorLog(node: Int, v: String, t: Array[String], subst: Int = -1,
                     substVal: String = null, floorPairs: Boolean = false): Double = {
-    val ps = parentsOf(node)
-    if (ps.isEmpty) {
+    val edgeCpts = cptsOf(node)
+    if (edgeCpts.isEmpty) {
       // Section 2: parentless nodes use the prior inferred from D. (We do not
       // flatten isolated nodes to uniform — the empirical prior is what
       // separates a frequent correct value from a one-off typo when no
       // relational context exists.)
       math.log(priorProb(node, v))
     } else {
-      val edgeCpts = cpts(node)
+      val floor = uniformLogs(node)
       var s = 0.0
       var i = 0
       while (i < edgeCpts.length) {
         val cpt = edgeCpts(i)
         val pv = if (cpt.parent == subst) substVal else t(cpt.parent)
         val f = cpt.logProb(pv, v)
-        s += (if (floorPairs) math.max(f, uniformLog(node)) else f)
+        s += (if (floorPairs) math.max(f, floor) else f)
         i += 1
       }
       s

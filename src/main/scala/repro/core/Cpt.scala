@@ -26,9 +26,14 @@ final case class Cpt(parent: Int, child: Int, alpha: Double, co: CoOccurrence) {
   /** Smoothed Pr[child = v | parent = p]; an unseen parent value (possible
     * only for values absent from the relation) is uniform over the domain.
     */
-  def prob(p: String, v: String): Double =
+  def prob(p: String, v: String): Double = probWithCount(p, pairs.getOrElse((p, v), 0L))
+
+  /** `prob` for a child value that co-occurs `n` times with the parent
+    * value `p`: the one formula `prob` and the scoring kernel share.
+    */
+  private[core] def probWithCount(p: String, n: Long): Double =
     parentCounts.get(p) match {
-      case Some(total) => (pairs.getOrElse((p, v), 0L) + alpha) / (total + alpha * domSize)
+      case Some(total) => (n + alpha) / (total + alpha * domSize)
       case None => 1.0 / math.max(domSize, 1)
     }
 

@@ -11,6 +11,12 @@ import org.apache.spark.sql.DataFrame
   * the Markov-blanket sub-network score (partitioned inference, Section 6.1).
   * Tuple pruning skips cells whose co-occurrence filter passes τ_clean, and
   * domain pruning restricts candidates to the TF-IDF top-K (Section 6.2).
+  *
+  * `score` is the definition of a candidate's score. `repairTuple` scores
+  * the incumbent with it (leave-one-out included) and every other candidate
+  * of the cell at once through the model's `ScoringKernel`, whose scores are
+  * `==` to `score`: an inverted-index scatter for the partitioned variants,
+  * `score`'s dense sum for basic BClean.
   */
 object Inference {
 
@@ -47,12 +53,18 @@ object Inference {
       */
     def selfWeight(t: Array[String]): Double = CompensatoryScore.weight(
       CompensatoryScore.confidence(t, attrs, ucs, scoreParams.lambda), scoreParams.tau, scoreParams.beta)
+
+    /** The per-cell scoring step, built on first use in each JVM and never
+      * serialized: the broadcast model stays the tables above.
+      */
+    @transient private[core] lazy val kernel: ScoringKernel = new ScoringKernel(this)
   }
 
   /** Repair one tuple's values in place-copy; returns the repaired values. */
   def repairTuple(model: Model, t: Array[String]): Array[String] = {
     val cfg = model.cfg
     val m = model.attrs.length
+    val kernel = model.kernel
     val out = t.clone()
     val selfW = model.selfWeight(t)
     var j = 0
@@ -60,30 +72,30 @@ object Inference {
       val skip = cfg.tuplePruning && !Values.isNull(t(j)) &&
         model.co.filterScore(t, j) >= cfg.tauClean
       if (!skip) {
-        val uc = model.ucs(model.attrs(j))
-        // Canonical domain order (see `Stats.domain`): the strict `>` below
-        // lets the earliest of equally scored candidates win.
-        val base = if (cfg.domainPruning) model.prunedDomains(j) else model.domains(j)
         // Repair only past a margin over the incumbent — pre-detection in the
         // sense of Section 6.2: a cell whose observed value is statistically
         // indistinguishable from the best alternative is presumed clean. An
         // incumbent violating its UC forfeits the margin (the UC *is* the
         // evidence that the cell is wrong).
         val incumbentNull = Values.isNull(t(j))
-        val incumbentOk = incumbentNull || uc.holds(t(j))
+        val incumbentOk = incumbentNull || model.ucs(model.attrs(j)).holds(t(j))
         val margin = if (incumbentOk && !incumbentNull) RepairMargin else 0.0
         var bestC = t(j)
         var bestP = score(model, j, bestC, t, selfW) + margin
         var secondP = Double.NegativeInfinity
-        var k = 0
-        while (k < base.length) {
-          val c = base(k)
-          if (c != t(j) && !Values.isNull(c) && uc.holds(c)) {
-            val p = score(model, j, c, t, selfW)
-            if (p > bestP) { secondP = bestP; bestP = p; bestC = c }
+        // Candidates in canonical domain order (see `Stats.domain`): the
+        // strict `>` below lets the earliest of equally scored ones win.
+        val cands = kernel.candidates(j)
+        val ps = kernel.scores(j, t)
+        val self = kernel.position(j, t(j))
+        var i = 0
+        while (i < cands.length) {
+          if (i != self) {
+            val p = ps(i)
+            if (p > bestP) { secondP = bestP; bestP = p; bestC = cands(i) }
             else if (p > secondP) { secondP = p }
           }
-          k += 1
+          i += 1
         }
         // A NULL is only filled when the winner clearly dominates the
         // runner-up — a near-uniform fill (e.g. a missing source site) is a
@@ -103,17 +115,24 @@ object Inference {
     * to the observed cell in the softened-FD similarity are preferred, which
     * is what recovers typos on attributes with no relational context.
     */
-  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double = {
+  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double =
+    denseScore(model, j, c, t, selfW, if (Values.isNull(t(j))) 0.0 else obsLog(t(j), c))
+
+  /** `score` with its observation term given. */
+  private[core] def denseScore(model: Model, j: Int, c: String, t: Array[String], selfW: Double,
+                               obsLog: Double): Double = {
     val bnLog =
       if (model.cfg.partitioned) model.bn.blanketLog(j, c, t)
       else model.bn.fullJointLog(j, c, t)
-    // Observation term over the *literal string*: a typo differs as a string
-    // even when numerically close (id 2476 vs 2500 must not look alike).
-    val obsLog =
-      if (Values.isNull(t(j))) 0.0
-      else ObsWeight * math.log(math.max(repro.text.Similarity.string(t(j), c), SimFloor))
     bnLog + csLog(model, j, c, t, selfW) + obsLog
   }
+
+  /** The observation term of candidate `c` against the non-NULL observed
+    * value, over the *literal string*: a typo differs as a string even when
+    * numerically close (id 2476 vs 2500 must not look alike).
+    */
+  private[core] def obsLog(observed: String, c: String): Double =
+    ObsWeight * math.log(math.max(repro.text.Similarity.string(observed, c), SimFloor))
 
   /** The log CS term of `score`: Score_corr (Eq. 2), leave-one-out for the
     * incumbent.

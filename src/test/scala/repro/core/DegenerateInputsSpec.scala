@@ -8,7 +8,9 @@ import repro.data.{CleaningDataset, PCleanSpec}
 
 /** BClean, BClean_PI and BClean_PIP on degenerate relations: each keeps the
   * schema, the row count and the `_tid` set, and leaves alone what it has
-  * no alternative for.
+  * no alternative for. Where a relation leaves the scoring kernel no
+  * context or no candidate, every variant's kernel also scores and
+  * repairs each tuple as the per-candidate reference loop.
   */
 class DegenerateInputsSpec extends SparkSpec {
 
@@ -42,13 +44,38 @@ class DegenerateInputsSpec extends SparkSpec {
     cleanAll(ds)((v, rows) => assert(rows == in, v))
   }
 
+  /** Every variant's model of `ds` scores each tuple through the kernel
+    * exactly as `Inference.score`, and repairs it as the reference loop.
+    */
+  private def kernelMatchesReference(ds: CleaningDataset): Seq[Inference.Model] = {
+    val tuples = byTid(ds.dirty).map(r => ds.attrs.map(a => Values.norm(r.getAs[String](a))).toArray)
+    Seq("BClean", "BClean-UC", "BClean_PI", "BClean_PIP").map { v =>
+      val model = BClean.buildModel(ds.dirty, ds.attrs, ds.ucs, BClean.Config.variant(v), userEdits = ds.fdEdges)
+      tuples.foreach { t =>
+        assert(ReferenceLoop.scoreMismatches(model, t).isEmpty, v)
+        assert(Inference.repairTuple(model, t).toSeq == ReferenceLoop.repairTuple(model, t).toSeq, v)
+      }
+      model
+    }
+  }
+
   test("one row: nothing to repair, the output equals the input") {
     unchanged(dataset("one-row", Fixtures.fdTableDirty(spark, 1), Fixtures.fdAttrs, fds))
   }
 
   test("one attribute: schema, rows and _tid set are kept") {
-    val dirty = Fixtures.fdTableDirty(spark, 60).select("_tid", "city")
-    cleanAll(dataset("one-attr", dirty, Seq("city")))((_, _) => ())
+    val ds = dataset("one-attr", Fixtures.fdTableDirty(spark, 60).select("_tid", "city"), Seq("city"))
+    cleanAll(ds)((_, _) => ())
+    // No context attribute: the kernel's BN term is the prior alone and
+    // its corr sums are empty.
+    kernelMatchesReference(ds)
+  }
+
+  test("an all-NULL column: no candidate, the column stays NULL, the kernel repairs as the reference loop") {
+    val dirty = Fixtures.fdTableDirty(spark, 60).withColumn("phone", lit(null).cast("string"))
+    val ds = dataset("null-col", dirty, Fixtures.fdAttrs :+ "phone", fds)
+    cleanAll(ds)((v, rows) => assert(rows.forall(_.isNullAt(4)), v))
+    kernelMatchesReference(ds).foreach(model => assert(model.kernel.candidates(3).isEmpty))
   }
 
   test("a constant column comes back unchanged") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties, Test}
+import org.scalacheck.Prop.propBoolean
 import repro.SparkSpec
 import repro.core.{UserConstraint => UC}
 import repro.graph.Dag
@@ -32,6 +33,70 @@ object InferenceProps extends Properties("Inference") {
     val ucs = UcSet(attrs.zip(constrained).collect { case (a, true) => a -> (UC.Length(2, 2): UserConstraint) }.toMap)
     (rows, attrs, ucs, CompensatoryScore.Params(lambda, beta, tau))
   }
+
+  /** A relation of 1–8 attributes over a pool of values of lengths 1–3,
+    * with NULLs and values unique to their row; random length UCs; a random
+    * DAG (edges follow a random rank, so a node may have several parents or
+    * none); α; score parameters; and the domain-pruning budget.
+    */
+  private val genKernelCase = for {
+    m <- Gen.choose(1, 8)
+    n <- Gen.choose(1, 30)
+    cells <- Gen.listOfN(n * m,
+      Gen.frequency(10 -> Gen.oneOf("a", "b", "ab", "ba", "abc", "bcd"), 1 -> Gen.const(""), 1 -> Gen.const("u")))
+    ucs <- Gen.listOfN(m, Gen.option(Gen.zip(Gen.choose(1, 3), Gen.choose(0, 2))))
+    rank <- Gen.listOfN(m, Gen.choose(0, 1000))
+    edges <- Gen.listOfN(m * m, Gen.frequency(3 -> true, 2 -> false))
+    alpha <- Gen.oneOf(0.0, 0.05, 1.0)
+    lambda <- Gen.oneOf(0.5, 1.0, 2.0)
+    beta <- Gen.oneOf(0.5, 2.0, 3.0)
+    tau <- Gen.oneOf(0.3, 0.5, 0.9)
+    topK <- Gen.choose(1, 4)
+  } yield {
+    val rows = Seq.tabulate(n, m) { (i, j) =>
+      val v = cells(i * m + j)
+      if (v == "u") s"u$i$j" else v
+    }.map(_.toArray)
+    val attrs = Seq.tabulate(m)(j => s"a$j")
+    val uc = UcSet(attrs.zip(ucs).collect { case (a, Some((lo, d))) => a -> (UC.Length(lo, lo + d): UserConstraint) }.toMap)
+    val order = (0 until m).sortBy(j => (rank(j), j))
+    val dag = Dag(m, (for {
+      x <- 0 until m; y <- x + 1 until m if edges(x * m + y)
+    } yield (order(x), order(y)) -> 1.0).toMap)
+    (rows, attrs, uc, dag, alpha, CompensatoryScore.Params(lambda, beta, tau), topK)
+  }
+
+  private def relation(rows: Seq[Array[String]], attrs: Seq[String]) = {
+    val spark = SparkSpec.shared
+    import spark.implicits._
+    rows.zipWithIndex.map { case (t, i) => (i.toLong, t.toSeq.map(v => Option(v).filter(_.nonEmpty))) }
+      .toDF("_tid", "vs")
+      .selectExpr(("_tid" +: attrs.indices.map(j => s"vs[$j] as a$j")): _*)
+  }
+
+  property("the kernel scores every candidate exactly as Inference.score, and repairTuple repairs as the " +
+    "per-candidate reference loop") =
+    Prop.forAllNoShrink(genKernelCase) { case (rows, attrs, ucs, dag, alpha, params, topK) =>
+      val df = relation(rows, attrs)
+      // The relation's tuples, and each with one cell set to a value the
+      // relation lacks (an unseen parent value, a missing corr row).
+      val tuples = rows ++ rows.zipWithIndex.map { case (t, i) => t.updated(i % attrs.length, "zz") }
+      val variants = Seq(BClean.Config.noUc, BClean.Config.pi, BClean.Config.pip).map { c =>
+        c.copy(score = params, cptAlpha = alpha, inference = c.inference.copy(topK = topK))
+      }
+      Prop.all(variants.map { cfg =>
+        val model = BClean.buildModel(df, attrs, ucs, cfg, presetDag = Some(dag))
+        val lists = attrs.indices.forall { j =>
+          val base = if (cfg.inference.domainPruning) model.prunedDomains(j) else model.domains(j)
+          model.kernel.candidates(j).toSeq == base.filter(c => !Values.isNull(c) && model.ucs(attrs(j)).holds(c))
+        }
+        val mismatches = tuples.flatMap(ReferenceLoop.scoreMismatches(model, _))
+        val repairs = tuples.filterNot(t => Inference.repairTuple(model, t).sameElements(ReferenceLoop.repairTuple(model, t)))
+        (lists && mismatches.isEmpty && repairs.isEmpty) :|
+          s"${cfg.inference}: lists=$lists, score mismatches ${mismatches.take(3)}, " +
+          s"repairs differ on ${repairs.take(3).map(_.mkString("|"))}"
+      }: _*)
+    }
 
   property("leave-one-out: a value seen only in its own row gets a CS term of exactly 0") =
     Prop.forAll(genCase) { case (rows, attrs, ucs, params) =>
