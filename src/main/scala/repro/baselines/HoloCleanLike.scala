@@ -48,26 +48,35 @@ object HoloCleanLike {
   val MinSupport: Long = 2   // witnesses the majority needs
   val MinRatio: Double = 0.5 // share of the group the majority must exceed
 
-  /** Repair: replace a cell by its FD-group majority when the group supports
-    * it (≥ MinSupport witnesses and > MinRatio of the group agrees).
+  /** One FD X → Y of a dataset: the positions of X and of Y among its
+    * attributes, and the FD's map from `fdMajorities`.
     */
-  def clean(ds: CleaningDataset): DataFrame = {
-    val attrPos = ds.attrs.zipWithIndex.toMap
-    val maps = ds.fds.zip(fdMajorities(ds.dirty, ds.fds)).map { case ((xs, y), mp) =>
-      (xs.map(attrPos), attrPos(y), mp)
-    }
-    Values.mapTuples(ds.dirty, ds.attrs, maps) { (fdMaps, t) =>
-      val out = t.clone()
-      fdMaps.foreach { case (xIdx, yIdx, mp) =>
-        val key: Seq[String] = xIdx.map(t)
-        mp.get(key).foreach { case (bestY, bestCnt, total) =>
-          val current = t(yIdx)
-          val violates = current != bestY && bestY.nonEmpty
-          if (violates && bestCnt >= MinSupport && bestCnt.toDouble / total > MinRatio)
-            out(yIdx) = bestY
-        }
+  final case class FdMap(xs: Seq[Int], y: Int, majorities: Map[Seq[String], (String, Long, Long)]) {
+
+    /** The majority value that repairs t's Y cell: it differs from t(y), is
+      * not NULL, and its X-group supports it (≥ MinSupport witnesses and
+      * > MinRatio of the group agrees).
+      */
+    def repair(t: Array[String]): Option[String] =
+      majorities.get(xs.map(t)).collect {
+        case (best, cnt, total)
+            if best.nonEmpty && best != t(y) && cnt >= MinSupport && cnt.toDouble / total > MinRatio => best
       }
+  }
+
+  /** The FD maps of `ds`'s FDs over its dirty relation. */
+  def fdMaps(ds: CleaningDataset): Seq[FdMap] = {
+    val attrPos = ds.attrs.zipWithIndex.toMap
+    ds.fds.zip(fdMajorities(ds.dirty, ds.fds)).map { case ((xs, y), mp) => FdMap(xs.map(attrPos), attrPos(y), mp) }
+  }
+
+  /** Repair: replace a cell by its FD-group majority when the group supports
+    * it (`FdMap.repair`).
+    */
+  def clean(ds: CleaningDataset): DataFrame =
+    Values.mapTuples(ds.dirty, ds.attrs, fdMaps(ds)) { (fds, t) =>
+      val out = t.clone()
+      fds.foreach(fd => fd.repair(t).foreach(out(fd.y) = _))
       out
     }
-  }
 }

@@ -47,7 +47,7 @@ object RahaBaranLike {
       co: CoOccurrence,
       sizes: Map[Int, (Long, Long)],
       patterns: Map[Int, Map[String, Long]],
-      fdMaps: Seq[(Seq[Int], Int, Map[Seq[String], (String, Long, Long)])],
+      fdMaps: Seq[HoloCleanLike.FdMap],
   ): Array[Boolean] = {
     val v = t(i)
     val (colN, colMax) = sizes(i)
@@ -58,11 +58,7 @@ object RahaBaranLike {
     }
     val freqVote = !Values.isNull(v) &&
       co.count(i, v) == 1L && colMax >= 3L
-    val fdVote = fdMaps.exists { case (xIdx, yIdx, mp) =>
-      yIdx == i && mp.get(xIdx.map(t): Seq[String]).exists { case (best, cnt, total) =>
-        best.nonEmpty && best != v && cnt >= 2 && cnt.toDouble / total > 0.5
-      }
-    }
+    val fdVote = fdMaps.exists(fd => fd.y == i && fd.repair(t).isDefined)
     Array(nullVote, patVote, freqVote, fdVote)
   }
 
@@ -70,13 +66,10 @@ object RahaBaranLike {
     val dirty = ds.dirty
     val schema = dirty.schema
     val attrIdx = ds.attrs.map(schema.fieldIndex).toArray
-    val attrPos = ds.attrs.zipWithIndex.toMap
     val co = CoOccurrence.compute(dirty, ds.attrs)
     val sizes = columnSizes(co)
     val patterns = patternHistogram(co)
-    val fdMaps = ds.fds.zip(HoloCleanLike.fdMajorities(dirty, ds.fds)).map { case ((xs, y), mp) =>
-      (xs.map(attrPos), attrPos(y), mp)
-    }
+    val fdMaps = HoloCleanLike.fdMaps(ds)
 
     // ---- detector weighting on the labeled sample (tuples 0..Labels-1) ----
     import org.apache.spark.sql.functions.col

@@ -35,18 +35,12 @@ final case class BayesNet(
   private val m = attrs.length
   // Children lists materialized once — scoring is the inference hot path.
   private val childrenOf: Array[Array[Int]] = Array.tabulate(m)(v => dag.children(v).toArray)
-  private val parentsOf: Array[Array[Int]] = Array.tabulate(m)(v => dag.parents(v).toArray)
 
   /** The edge CPTs of every node with parents, keyed by child, in the order
     * of `dag.parents`.
     */
   val cpts: Map[Int, Seq[Cpt]] =
-    attrs.indices.filter(parentsOf(_).nonEmpty).map(v => v -> parentsOf(v).toSeq.map(Cpt(_, v, alpha, co))).toMap
-
-  // Per node: its edge CPTs (empty for a root) and its uniform log level,
-  // read by every scored candidate. Rebuilt in each JVM, not serialized.
-  @transient private lazy val cptsOf: Array[Array[Cpt]] = Array.tabulate(m)(v => cpts.getOrElse(v, Nil).toArray)
-  @transient private lazy val uniformLogs: Array[Double] = Array.tabulate(m)(uniformLog)
+    attrs.indices.map(v => v -> dag.parents(v).map(Cpt(_, v, alpha, co))).filter(_._2.nonEmpty).toMap
 
   /** Laplace-smoothed marginal Pr[A_node = v] (Section 2: parentless nodes
     * use the prior inferred from D); a value absent from the relation gets a
@@ -75,25 +69,18 @@ final case class BayesNet(
     */
   def nodeFactorLog(node: Int, v: String, t: Array[String], subst: Int = -1,
                     substVal: String = null, floorPairs: Boolean = false): Double = {
-    val edgeCpts = cptsOf(node)
-    if (edgeCpts.isEmpty) {
+    cpts.get(node) match {
       // Section 2: parentless nodes use the prior inferred from D. (We do not
       // flatten isolated nodes to uniform — the empirical prior is what
       // separates a frequent correct value from a one-off typo when no
       // relational context exists.)
-      math.log(priorProb(node, v))
-    } else {
-      val floor = uniformLogs(node)
-      var s = 0.0
-      var i = 0
-      while (i < edgeCpts.length) {
-        val cpt = edgeCpts(i)
-        val pv = if (cpt.parent == subst) substVal else t(cpt.parent)
-        val f = cpt.logProb(pv, v)
-        s += (if (floorPairs) math.max(f, floor) else f)
-        i += 1
-      }
-      s
+      case None => math.log(priorProb(node, v))
+      case Some(edgeCpts) =>
+        val floor = uniformLog(node)
+        edgeCpts.foldLeft(0.0) { (s, cpt) =>
+          val f = cpt.logProb(if (cpt.parent == subst) substVal else t(cpt.parent), v)
+          s + (if (floorPairs) math.max(f, floor) else f)
+        }
     }
   }
 

@@ -51,7 +51,7 @@ object CompensatoryScore {
     * (ai, aj) → ((c, e) → w). Zero-weight entries are dropped.
     */
   def collect(corrDf: DataFrame): Map[(Int, Int), Map[(String, String), Double]] =
-    Stats.corrOf(corrDf.collect().toSeq.map(r => (r.getInt(0), r.getInt(1), r.getString(2), r.getString(3), r.getDouble(4))))
+    Stats.corrOf(corrDf.collect().toSeq.map(r => (r.getInt(0), r.getInt(1), (r.getString(2), r.getString(3)), r.getDouble(4))))
 
   /** Score_corr(c, t, A_j) from the collected corr map (Eq. 2), normalized by
     * the relation size. `self` is taken off every entry read: the weight the
@@ -83,9 +83,11 @@ object CompensatoryScore {
     * 1[conf ≥ τ] / −β·1[conf < τ]; we grade the penalty by how far below τ
     * the tuple sits, −β·(τ−conf)/τ, so that at high noise rates (Flights,
     * ~30%) tuples one violation short of τ do not erase the legitimate
-    * support of their clean value pairs. At low noise (Hospital) almost all
-    * tuples pass τ and the two schemes coincide — which is also why the
-    * λ/β/τ sweeps of Tables 8–10 stay flat.
+    * support of their clean value pairs. On Hospital at λ = 1 no tuple
+    * falls below τ = 0.5, so β never applies and Table 9 is flat; a large λ
+    * pushes every tuple with a UC violation below τ, and the penalty grows
+    * as its confidence falls toward 0, which is where Table 8 drops
+    * (DESIGN §6 item 6).
     */
   def weight(conf: Double, tau: Double, beta: Double): Double =
     if (conf >= tau) 1.0 else -beta * (tau - conf) / math.max(tau, 1e-9)

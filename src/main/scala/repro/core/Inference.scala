@@ -16,7 +16,7 @@ import org.apache.spark.sql.DataFrame
   * the incumbent with it (leave-one-out included) and every other candidate
   * of the cell at once through the model's `ScoringKernel`, whose scores are
   * `==` to `score`: an inverted-index scatter for the partitioned variants,
-  * `score`'s dense sum for basic BClean.
+  * `score` itself for basic BClean.
   */
 object Inference {
 
@@ -115,16 +115,11 @@ object Inference {
     * to the observed cell in the softened-FD similarity are preferred, which
     * is what recovers typos on attributes with no relational context.
     */
-  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double =
-    denseScore(model, j, c, t, selfW, if (Values.isNull(t(j))) 0.0 else obsLog(t(j), c))
-
-  /** `score` with its observation term given. */
-  private[core] def denseScore(model: Model, j: Int, c: String, t: Array[String], selfW: Double,
-                               obsLog: Double): Double = {
+  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double = {
     val bnLog =
       if (model.cfg.partitioned) model.bn.blanketLog(j, c, t)
       else model.bn.fullJointLog(j, c, t)
-    bnLog + csLog(model, j, c, t, selfW) + obsLog
+    bnLog + csLog(model, j, c, t, selfW) + (if (Values.isNull(t(j))) 0.0 else obsLog(t(j), c))
   }
 
   /** The observation term of candidate `c` against the non-NULL observed

@@ -10,18 +10,17 @@ import scala.collection.mutable
   *  - Candidate lists: per attribute, the non-NULL, UC-valid values of the
   *    domain (the pruned domain under domain pruning), in canonical order.
   *    Every variant reads them, so no cell runs a UC over the domain again.
-  *  - Observation rows: the observation term of every candidate against an
-  *    observed value, kept in a memo bounded by `MemoBudget` for values the
-  *    relation holds at least twice.
   *  - Partitioned variants: an inverted index from a context value to
   *    (candidate position, term) for the corr table (CS term) and for the
   *    CPT pair counts of every edge into and out of the attribute (BN term),
   *    with each CPT term's log and child floor taken when the index is
   *    built. Per cell the rows of the tuple's values are fetched once and
   *    scatter-added into per-candidate arrays in the order `Inference.score`
-  *    adds its terms (DESIGN §6 item 16).
-  *  - Basic BClean scores each candidate densely (`Inference.denseScore`,
-  *    the full joint) with the memo's observation row.
+  *    adds its terms (DESIGN §6 item 16). The observation term of every
+  *    candidate against an observed value is kept in a memo bounded by
+  *    `MemoBudget`, for values the relation holds at least twice.
+  *  - Basic BClean, the slow baseline of Table 7, maps `Inference.score`
+  *    over the candidates.
   *
   * One instance per model and JVM (`Inference.Model.kernel`); nothing here
   * outlives its model.
@@ -50,23 +49,19 @@ private[core] final class ScoringKernel(model: Inference.Model) {
     */
   def scores(j: Int, t: Array[String]): Array[Double] = {
     val cs = candidates(j)
+    if (!model.cfg.partitioned) return cs.map(Inference.score(model, j, _, t))
     val obs = observation(j, t(j))
+    val bn = blanket(j, t)
+    val corr = corrSums(j, t)
     val out = new Array[Double](cs.length)
-    if (model.cfg.partitioned) {
-      val bn = blanket(j, t)
-      val corr = corrSums(j, t)
-      var i = 0
-      while (i < cs.length) {
-        // A candidate with no support has Score_corr exactly 0.0, and
-        // logCs(0.0) is 0.0.
-        val s = corr(i)
-        val csLog = if (s == 0.0) 0.0 else CompensatoryScore.logCs(s / math.max(nRows, 1L), nRows)
-        out(i) = bn(i) + csLog + obs(i)
-        i += 1
-      }
-    } else {
-      var i = 0
-      while (i < cs.length) { out(i) = Inference.denseScore(model, j, cs(i), t, 0.0, obs(i)); i += 1 }
+    var i = 0
+    while (i < cs.length) {
+      // A candidate with no support has Score_corr exactly 0.0, and
+      // logCs(0.0) is 0.0.
+      val s = corr(i)
+      val csLog = if (s == 0.0) 0.0 else CompensatoryScore.logCs(s / math.max(nRows, 1L), nRows)
+      out(i) = bn(i) + csLog + obs(i)
+      i += 1
     }
     out
   }
@@ -141,15 +136,13 @@ private[core] final class ScoringKernel(model: Inference.Model) {
       }))
     }.toArray
     // Edge j → ch, keyed by t(ch): the floored log Pr[t(ch) | c] of every
-    // candidate that co-occurs with t(ch); `unseen` holds the floored term
-    // of a candidate that does not.
+    // candidate that co-occurs with t(ch).
     val children = bn.dag.children(j).map { ch =>
       val chCpts = bn.cpts(ch).toArray
       val cpt = chCpts.find(_.parent == j).get
       val floor = bn.uniformLog(ch)
       val pairs = cpt.co.pairs.getOrElse((j, ch), Map.empty[(String, String), Long])
       ChildEdge(ch, chCpts, chCpts.indexOf(cpt), floor,
-        cs.map(c => math.max(math.log(cpt.probWithCount(c, 0L)), floor)),
         rows(j, pairs.iterator.map { case ((c, v), n) => (v, c, math.max(math.log(cpt.probWithCount(c, n)), floor)) }))
     }.toArray
     // Corr table of (j, k), keyed by t(k): the weight of (c, t(k)).
@@ -187,7 +180,10 @@ private[core] final class ScoringKernel(model: Inference.Model) {
       var q = 0
       while (q < edge.at) { before += edge.context(q, t, v); q += 1 }
       val after = Array.tabulate(edge.cpts.length - edge.at - 1)(r => edge.context(edge.at + 1 + r, t, v))
-      System.arraycopy(edge.unseen, 0, term, 0, n)
+      // A candidate that does not co-occur with v sits at the floor: every
+      // candidate is a value of the relation (count ≥ 1), and
+      // α/(count + α·|dom(child)|) < 1/|dom(child)|.
+      java.util.Arrays.fill(term, edge.floor)
       edge.rows.get(v).foreach(_.scatter(term))
       var i = 0
       while (i < n) {
@@ -243,8 +239,7 @@ object ScoringKernel {
   /** Edge j → `child`; `cpts` are the child's edge CPTs in its parent order,
     * j's at index `at`.
     */
-  private final case class ChildEdge(child: Int, cpts: Array[Cpt], at: Int, floor: Double, unseen: Array[Double],
-                                     rows: Map[String, Row]) {
+  private final case class ChildEdge(child: Int, cpts: Array[Cpt], at: Int, floor: Double, rows: Map[String, Row]) {
     /** The floored term of the child's parent `cpts(q)` ≠ j at its observed value. */
     def context(q: Int, t: Array[String], v: String): Double =
       math.max(cpts(q).logProb(t(cpts(q).parent), v), floor)

@@ -14,27 +14,24 @@ import scala.collection.mutable
   * the co-occurrence counts and the corr table are all projections of the
   * one collected result, derived on the driver.
   *
-  * @param unary per attribute: value → count (the diagonal i = j)
-  * @param pairs per ordered attribute pair i ≠ j: (c, e) → count
-  * @param corr  per ordered attribute pair i ≠ j: (c, e) → Σ weight, over
-  *              pairs with both sides non-NULL; zero sums are dropped
+  * @param co   the counts: per attribute, value → count (the diagonal
+  *             i = j); per ordered attribute pair i ≠ j, (c, e) → count
+  * @param corr per ordered attribute pair i ≠ j: (c, e) → Σ weight, over
+  *             pairs with both sides non-NULL; zero sums are dropped. Each
+  *             (c, e) key is the instance `co.pairs` holds.
   */
 final case class Stats(
     attrs: Seq[String],
-    nRows: Long,
-    unary: Map[Int, Map[String, Long]],
-    pairs: Map[(Int, Int), Map[(String, String), Long]],
+    co: CoOccurrence,
     corr: Map[(Int, Int), Map[(String, String), Double]],
 ) {
-
-  lazy val co: CoOccurrence = CoOccurrence(nRows, unary, pairs)
 
   /** dom(A_j) in canonical order: count descending, then value. The order is
     * a function of the data alone, never of Spark's partitioning, and
     * `DomainPruning` and `Inference.repairTuple` break ties by it.
     */
   def domain(j: Int): IndexedSeq[String] =
-    unary(j).toIndexedSeq.sortBy { case (v, n) => (-n, v) }.map(_._1)
+    co.unary(j).toIndexedSeq.sortBy { case (v, n) => (-n, v) }.map(_._1)
 
   def domains: Map[Int, IndexedSeq[String]] = attrs.indices.map(j => j -> domain(j)).toMap
 }
@@ -78,28 +75,31 @@ object Stats {
     val canon = mutable.HashMap.empty[String, String]
     def intern(s: String) = canon.getOrElseUpdate(s, s)
     val (diag, off) = rows.iterator
-      .map(r => Entry(r.getInt(0), r.getInt(1), intern(r.getString(2)), intern(r.getString(3)), r.getLong(4),
+      .map(r => Entry(r.getInt(0), r.getInt(1), (intern(r.getString(2)), intern(r.getString(3))), r.getLong(4),
         r.getDouble(5)))
       .toSeq
       .partition(e => e.ai == e.aj)
     val unary = attrs.indices.map(i => i -> Map.empty[String, Long]).toMap ++
-      diag.groupBy(_.ai).map { case (i, es) => i -> es.iterator.map(e => e.c -> e.n).toMap }
-    val pairs = off.groupBy(e => (e.ai, e.aj)).map { case (k, es) => k -> es.iterator.map(e => (e.c, e.e) -> e.n).toMap }
+      diag.groupBy(_.ai).map { case (i, es) => i -> es.iterator.map(e => e.ce._1 -> e.n).toMap }
+    // Each (c, e) key is built once above and shared by `pairs` and `corr`.
+    val pairs = off.groupBy(e => (e.ai, e.aj)).map { case (k, es) => k -> es.iterator.map(e => e.ce -> e.n).toMap }
     // NULL is not an observation: pairs with an empty side carry no
     // co-occurrence signal (at a 30% missing rate they would dominate the
     // table with noise). `CompensatoryScore.corrTable` filters alike.
-    val corr = corrOf(off.filter(e => !Values.isNull(e.c) && !Values.isNull(e.e)).map(e => (e.ai, e.aj, e.c, e.e, e.w)))
-    val nRows = unary.get(0).fold(0L)(_.values.sum)
-    Stats(attrs, nRows, unary, pairs, corr)
+    val corr = corrOf(off.collect { case Entry(i, j, ce @ (c, e), _, w) if !Values.isNull(c) && !Values.isNull(e) =>
+      (i, j, ce, w)
+    })
+    Stats(attrs, CoOccurrence(unary.get(0).fold(0L)(_.values.sum), unary, pairs), corr)
   }
 
-  /** The corr map (ai, aj) → ((c, e) → w) from corr rows; zero-weight
-    * entries are dropped.
+  /** The corr map (ai, aj) → ((c, e) → w) from (ai, aj, (c, e), w) rows,
+    * keyed by the rows' own (c, e) instances; zero-weight entries are
+    * dropped.
     */
-  def corrOf(rows: Seq[(Int, Int, String, String, Double)]): Map[(Int, Int), Map[(String, String), Double]] =
+  def corrOf(rows: Seq[(Int, Int, (String, String), Double)]): Map[(Int, Int), Map[(String, String), Double]] =
     rows.groupBy(r => (r._1, r._2)).map { case (k, rs) =>
-      k -> rs.iterator.filter(_._5 != 0.0).map(r => (r._3, r._4) -> r._5).toMap
+      k -> rs.iterator.filter(_._4 != 0.0).map(r => r._3 -> r._4).toMap
     }
 
-  private final case class Entry(ai: Int, aj: Int, c: String, e: String, n: Long, w: Double)
+  private final case class Entry(ai: Int, aj: Int, ce: (String, String), n: Long, w: Double)
 }

@@ -30,17 +30,17 @@ object BayesNetProps extends Properties("BayesNet") {
 
     private val tables: Map[Int, Seq[Table]] = (0 until m).map { v =>
       v -> dag.parents(v).map { p =>
-        val rows = stats.pairs.getOrElse((p, v), Map.empty[(String, String), Long]).groupBy(_._1._1).map {
+        val rows = stats.co.pairs.getOrElse((p, v), Map.empty[(String, String), Long]).groupBy(_._1._1).map {
           case (pv, cells) =>
             val counts = cells.map { case ((_, cv), n) => cv -> n }
             pv -> (counts, counts.values.sum)
         }
-        new Table(p, rows, stats.unary(v).size)
+        new Table(p, rows, stats.co.unary(v).size)
       }
     }.toMap
 
     private val priors: Map[Int, Map[String, Double]] = (0 until m).map { v =>
-      val counts = stats.unary(v)
+      val counts = stats.co.unary(v)
       val total = counts.values.sum.toDouble
       v -> counts.map { case (x, c) => x -> (c + alpha) / (total + alpha * counts.size) }
     }.toMap

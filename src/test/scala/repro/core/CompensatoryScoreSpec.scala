@@ -71,7 +71,7 @@ class CompensatoryScoreSpec extends SparkSpec {
 
   test("scoreCorr accumulates over context attributes (Eq. 2)") {
     val corr = stats.corr
-    val n = stats.nRows
+    val n = stats.co.nRows
     val t = Array("c01", "akron", "oh")
     val s = CompensatoryScore.scoreCorr(corr, n, 1, "akron", t)
     val manual = (corr.get((1, 0)).flatMap(_.get(("akron", "c01"))).getOrElse(0.0) +
@@ -82,7 +82,7 @@ class CompensatoryScoreSpec extends SparkSpec {
 
   test("the observed correct value outscores a rare typo (Example 2/3 shape)") {
     val corr = stats.corr
-    val n = stats.nRows
+    val n = stats.co.nRows
     // Tuple 0 has a typo'd city; the clean city must outscore the typo.
     val t0 = dirty.where(dirty("_tid") === 0L).collect()(0)
     val t = attrs.indices.map(i => Values.norm(t0.getString(i + 1))).toArray

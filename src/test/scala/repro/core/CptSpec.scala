@@ -17,7 +17,7 @@ class CptSpec extends SparkSpec {
     assert(math.abs(p.values.sum - 1.0) < 1e-9)
     // DuckDB cross-check of the underlying counts and of the frequencies.
     import spark.implicits._
-    val counts = stats.unary(1).toSeq.toDF("city", "cnt")
+    val counts = stats.co.unary(1).toSeq.toDF("city", "cnt")
     Oracle.assertEquivalent(counts,
       "SELECT city, count(*) AS cnt FROM t GROUP BY city", "t" -> df)
     val freqs = p.toSeq.toDF("city", "p")

@@ -98,6 +98,42 @@ object InferenceProps extends Properties("Inference") {
       }: _*)
     }
 
+  /** The lead by which `repairTuple` decides cell (t, j): the winner's
+    * score over the runner-up's, the incumbent (with its repair margin)
+    * among them, and for a NULL incumbent also that lead's distance from
+    * `NullFillMargin`. NaN when every score is −∞.
+    */
+  private def lead(model: Inference.Model, t: Array[String], j: Int): Double = {
+    val incumbentNull = Values.isNull(t(j))
+    val margin = if (!incumbentNull && model.ucs(model.attrs(j)).holds(t(j))) Inference.RepairMargin else 0.0
+    val selfW = model.selfWeight(t)
+    val ps = (Inference.score(model, j, t(j), t, selfW) + margin) +:
+      model.kernel.candidates(j).toSeq.filter(_ != t(j)).map(Inference.score(model, j, _, t, selfW))
+    val top = ps.sorted(Ordering.Double.TotalOrdering.reverse)
+    val gap = if (top.length < 2) Double.PositiveInfinity else top(0) - top(1)
+    if (incumbentNull) math.min(gap, math.abs(gap - Inference.NullFillMargin)) else gap
+  }
+
+  // fullJointLog − blanketLog is constant over the candidates, but the two
+  // sums round differently, so a cell that PI decides by less than this may
+  // go the other way under basic BClean.
+  private val FloatTie = 1e-9
+
+  property("basic BClean repairs every tuple as BClean_PI, except where PI's choice is a float tie") =
+    Prop.forAllNoShrink(genKernelCase) { case (rows, attrs, ucs, dag, alpha, params, _) =>
+      val df = relation(rows, attrs)
+      val Seq(basic, pi) = Seq(BClean.Config.basic, BClean.Config.pi).map { c =>
+        BClean.buildModel(df, attrs, ucs, c.copy(score = params, cptAlpha = alpha), presetDag = Some(dag))
+      }
+      // A NaN lead (every score −∞) is no tie: no candidate can win.
+      val differ = for {
+        t <- rows
+        (b, p) = (Inference.repairTuple(basic, t), Inference.repairTuple(pi, t))
+        j <- attrs.indices if b(j) != p(j) && !(lead(pi, t, j) < FloatTie)
+      } yield (t.mkString("|"), j, b(j), p(j))
+      differ.isEmpty :| s"repairs differ on ${differ.take(3)}"
+    }
+
   property("leave-one-out: a value seen only in its own row gets a CS term of exactly 0") =
     Prop.forAll(genCase) { case (rows, attrs, ucs, params) =>
       val spark = SparkSpec.shared

@@ -20,22 +20,31 @@ class StatsSpec extends SparkSpec {
   test("NULL is counted in the co-occurrence statistics but not in corr") {
     // Tuple 1 has city = "".
     val code1 = dirty.where("_tid = 1").collect()(0).getString(1)
-    assert(stats.unary(1)(Values.Null) == 1L)
-    assert(stats.pairs((0, 1))((code1, Values.Null)) == 1L)
+    assert(stats.co.unary(1)(Values.Null) == 1L)
+    assert(stats.co.pairs((0, 1))((code1, Values.Null)) == 1L)
     assert(stats.corr.values.forall(_.keys.forall { case (c, e) => !Values.isNull(c) && !Values.isNull(e) }))
   }
 
   test("the diagonal gives unary counts that sum to nRows") {
-    assert(stats.nRows == 120L)
-    attrs.indices.foreach(i => assert(stats.unary(i).values.sum == 120L))
-    assert(stats.pairs.keys.forall { case (i, j) => i != j })
+    assert(stats.co.nRows == 120L)
+    attrs.indices.foreach(i => assert(stats.co.unary(i).values.sum == 120L))
+    assert(stats.co.pairs.keys.forall { case (i, j) => i != j })
+  }
+
+  test("corr and the co-occurrence pairs share each (c, e) key instance") {
+    assert(stats.corr.nonEmpty)
+    stats.corr.foreach { case (ij, ws) =>
+      val keys = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[(String, String), java.lang.Boolean])
+      stats.co.pairs(ij).keysIterator.foreach(keys.add)
+      assert(ws.keysIterator.forall(keys.contains), ij)
+    }
   }
 
   test("domains are in canonical order: count descending, then value") {
     attrs.indices.foreach { j =>
       val dom = stats.domain(j)
-      assert(dom.toSet == stats.unary(j).keySet)
-      val keys = dom.map(v => (-stats.unary(j)(v), v))
+      assert(dom.toSet == stats.co.unary(j).keySet)
+      val keys = dom.map(v => (-stats.co.unary(j)(v), v))
       assert(keys == keys.sorted)
     }
   }
@@ -44,9 +53,9 @@ class StatsSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq((0L, "a"), (1L, "b"), (2L, "a"), (3L, "")).toDF("_tid", "x")
     val s = Stats.compute(df, Seq("x"))
-    assert(s.nRows == 4L)
-    assert(s.pairs.isEmpty && s.corr.isEmpty)
-    assert(s.unary == Map(0 -> Map("a" -> 2L, "b" -> 1L, "" -> 1L)))
+    assert(s.co.nRows == 4L)
+    assert(s.co.pairs.isEmpty && s.corr.isEmpty)
+    assert(s.co.unary == Map(0 -> Map("a" -> 2L, "b" -> 1L, "" -> 1L)))
     assert(s.domain(0) == IndexedSeq("a", "", "b"))
     val bn = BayesNet(s.attrs, Dag.empty(1), s.co, alpha = 0.0)
     assert(bn.cpts.isEmpty)
