@@ -12,11 +12,13 @@ import org.apache.spark.sql.DataFrame
   * Tuple pruning skips cells whose co-occurrence filter passes τ_clean, and
   * domain pruning restricts candidates to the TF-IDF top-K (Section 6.2).
   *
-  * `score` is the definition of a candidate's score. `repairTuple` scores
-  * the incumbent with it (leave-one-out included) and every other candidate
-  * of the cell at once through the model's `ScoringKernel`, whose scores are
-  * `==` to `score`: an inverted-index scatter for the partitioned variants,
-  * `score` itself for basic BClean.
+  * `score` is the definition of a candidate's score: its `evidence`
+  * (log BN + log CS) plus the observation term. `repairTuple` scores the
+  * incumbent with it (leave-one-out included) and takes the evidence of
+  * every other candidate of the cell at once from the model's
+  * `ScoringKernel`, `==` to `evidence`: an inverted-index scatter for the
+  * partitioned variants, `evidence` itself for basic BClean. The
+  * observation term is added only where it can change the choice.
   */
 object Inference {
 
@@ -86,12 +88,16 @@ object Inference {
         // Candidates in canonical domain order (see `Stats.domain`): the
         // strict `>` below lets the earliest of equally scored ones win.
         val cands = kernel.candidates(j)
-        val ps = kernel.scores(j, t)
+        val ev = kernel.evidence(j, t)
         val self = kernel.position(j, t(j))
         var i = 0
         while (i < cands.length) {
-          if (i != self) {
-            val p = ps(i)
+          // Against a non-NULL incumbent the observation term is added, and
+          // it is ≤ 0.0: evidence at or below bestP cannot win, so its term
+          // is never computed. secondP is read only for a NULL incumbent,
+          // which has no observation term and sees every candidate.
+          if (i != self && (incumbentNull || ev(i) > bestP)) {
+            val p = if (incumbentNull) ev(i) else ev(i) + obsLog(t(j), cands(i))
             if (p > bestP) { secondP = bestP; bestP = p; bestC = cands(i) }
             else if (p > secondP) { secondP = p }
           }
@@ -115,16 +121,23 @@ object Inference {
     * to the observed cell in the softened-FD similarity are preferred, which
     * is what recovers typos on attributes with no relational context.
     */
-  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double = {
+  def score(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double =
+    evidence(model, j, c, t, selfW) + (if (Values.isNull(t(j))) 0.0 else obsLog(t(j), c))
+
+  /** The evidence part of `score`, log BN + log CS, without the observation
+    * term.
+    */
+  def evidence(model: Model, j: Int, c: String, t: Array[String], selfW: Double = 0.0): Double = {
     val bnLog =
       if (model.cfg.partitioned) model.bn.blanketLog(j, c, t)
       else model.bn.fullJointLog(j, c, t)
-    bnLog + csLog(model, j, c, t, selfW) + (if (Values.isNull(t(j))) 0.0 else obsLog(t(j), c))
+    bnLog + csLog(model, j, c, t, selfW)
   }
 
   /** The observation term of candidate `c` against the non-NULL observed
     * value, over the *literal string*: a typo differs as a string even when
-    * numerically close (id 2476 vs 2500 must not look alike).
+    * numerically close (id 2476 vs 2500 must not look alike). Never
+    * positive: a similarity is at most 1, and so is `SimFloor`.
     */
   private[core] def obsLog(observed: String, c: String): Double =
     ObsWeight * math.log(math.max(repro.text.Similarity.string(observed, c), SimFloor))

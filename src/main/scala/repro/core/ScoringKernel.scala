@@ -1,11 +1,11 @@
 package repro.core
 
-import java.util.concurrent.ConcurrentHashMap
-import java.util.concurrent.atomic.AtomicLong
 import scala.collection.mutable
 
-/** The per-cell scoring step of `Inference.repairTuple`: the scores of all
-  * candidates of one cell at once, each `==` to `Inference.score`.
+/** The per-cell scoring step of `Inference.repairTuple`: the evidence
+  * (log BN + log CS) of all candidates of one cell at once, each `==` to
+  * `Inference.evidence`. The observation term is left to `repairTuple`,
+  * which adds it only to a candidate whose evidence could still win.
   *
   *  - Candidate lists: per attribute, the non-NULL, UC-valid values of the
   *    domain (the pruned domain under domain pruning), in canonical order.
@@ -15,11 +15,9 @@ import scala.collection.mutable
   *    CPT pair counts of every edge into and out of the attribute (BN term),
   *    with each CPT term's log and child floor taken when the index is
   *    built. Per cell the rows of the tuple's values are fetched once and
-  *    scatter-added into per-candidate arrays in the order `Inference.score`
-  *    adds its terms (DESIGN §6 item 16). The observation term of every
-  *    candidate against an observed value is kept in a memo bounded by
-  *    `MemoBudget`, for values the relation holds at least twice.
-  *  - Basic BClean, the slow baseline of Table 7, maps `Inference.score`
+  *    scatter-added into per-candidate arrays in the order
+  *    `Inference.evidence` adds its terms (DESIGN §6 item 16).
+  *  - Basic BClean, the slow baseline of Table 7, maps `Inference.evidence`
   *    over the candidates.
   *
   * One instance per model and JVM (`Inference.Model.kernel`); nothing here
@@ -38,70 +36,28 @@ private[core] final class ScoringKernel(model: Inference.Model) {
     base.iterator.filter(c => !Values.isNull(c) && uc.holds(c)).toArray
   }
   private val positions: Array[Map[String, Int]] = candidates.map(_.zipWithIndex.toMap)
-  private val zeros: Array[Array[Double]] = candidates.map(cs => new Array[Double](cs.length))
 
   /** Position of `v` in attribute j's candidate list, −1 when it is not one. */
   def position(j: Int, v: String): Int = positions(j).getOrElse(v, -1)
 
-  /** The score of every candidate of cell (t, j), by position. The entry at
-    * the incumbent's own position lacks its leave-one-out correction and is
-    * not a score `repairTuple` reads.
+  /** The evidence of every candidate of cell (t, j), by position. The entry
+    * at the incumbent's own position lacks its leave-one-out correction and
+    * is not one `repairTuple` reads.
     */
-  def scores(j: Int, t: Array[String]): Array[Double] = {
+  def evidence(j: Int, t: Array[String]): Array[Double] = {
     val cs = candidates(j)
-    if (!model.cfg.partitioned) return cs.map(Inference.score(model, j, _, t))
-    val obs = observation(j, t(j))
-    val bn = blanket(j, t)
+    if (!model.cfg.partitioned) return cs.map(Inference.evidence(model, j, _, t))
+    val ev = blanket(j, t)
     val corr = corrSums(j, t)
-    val out = new Array[Double](cs.length)
     var i = 0
     while (i < cs.length) {
       // A candidate with no support has Score_corr exactly 0.0, and
       // logCs(0.0) is 0.0.
       val s = corr(i)
-      val csLog = if (s == 0.0) 0.0 else CompensatoryScore.logCs(s / math.max(nRows, 1L), nRows)
-      out(i) = bn(i) + csLog + obs(i)
+      ev(i) += (if (s == 0.0) 0.0 else CompensatoryScore.logCs(s / math.max(nRows, 1L), nRows))
       i += 1
     }
-    out
-  }
-
-  // ---- observation memo ----
-
-  private val memo = Array.fill(m)(new ConcurrentHashMap[String, Array[Double]]())
-  private val memoUsed = new AtomicLong
-
-  /** Doubles held by the observation memo; at most `MemoBudget`. */
-  def memoDoubles: Long = memoUsed.get
-
-  /** The observation term of every candidate of attribute j against the
-    * observed value `o` (all 0.0 for a NULL, as in `Inference.score`).
-    */
-  private def observation(j: Int, o: String): Array[Double] =
-    if (Values.isNull(o)) zeros(j)
-    else {
-      val hit = memo(j).get(o)
-      if (hit != null) hit
-      else {
-        val cs = candidates(j)
-        val row = new Array[Double](cs.length)
-        var i = 0
-        while (i < cs.length) { row(i) = Inference.obsLog(o, cs(i)); i += 1 }
-        // A value seen once is scored once (bar a repeated tuple), so only
-        // repeated values are worth their row.
-        if (model.co.count(j, o) >= 2 && reserve(row.length) && memo(j).putIfAbsent(o, row) != null)
-          memoUsed.addAndGet(-row.length.toLong)
-        row
-      }
-    }
-
-  private def reserve(n: Int): Boolean = {
-    var used = memoUsed.get
-    while (used + n <= MemoBudget) {
-      if (memoUsed.compareAndSet(used, used + n)) return true
-      used = memoUsed.get
-    }
-    false
+    ev
   }
 
   // ---- inverted index (partitioned variants) ----
@@ -215,11 +171,6 @@ private[core] final class ScoringKernel(model: Inference.Model) {
 }
 
 object ScoringKernel {
-
-  /** Most doubles the observation memo of one model holds (32 MiB). Past it,
-    * rows are computed per cell and not kept.
-    */
-  val MemoBudget: Long = 4L << 20
 
   /** Candidate positions and one term for each, under one context value. */
   private final case class Row(pos: Array[Int], term: Array[Double]) {

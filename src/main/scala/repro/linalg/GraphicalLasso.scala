@@ -49,10 +49,6 @@ object GraphicalLasso {
   def fit(s: Mat, rho: Double, maxIter: Int = 200, tol: Double = 1e-7): Result = {
     require(s.isSquare, "covariance must be square")
     val p = s.rows
-    if (p == 1) {
-      val theta = Mat.of(1, 1)(1.0 / (s(0, 0) + rho))
-      return Result(theta, Mat.of(1, 1)(s(0, 0) + rho), 1)
-    }
     // W starts at S + rho*I (standard initialization).
     val w = s.copy
     for (i <- 0 until p) w(i, i) = s(i, i) + rho

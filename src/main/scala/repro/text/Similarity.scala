@@ -27,14 +27,20 @@ object Similarity {
     clamp(1.0 - math.abs(a - b) / denom)
   }
 
-  /** Dispatch: numeric similarity when both parse as doubles, else string. */
+  /** Dispatch: numeric similarity when both parse as finite doubles, else
+    * string. A typo'd identifier such as `1e999` parses as ∞, and ∞ is no
+    * number to compare: it gets string similarity.
+    */
   def value(a: String, b: String): Double = {
     val na = parse(a); val nb = parse(b)
     if (na.isDefined && nb.isDefined) numeric(na.get, nb.get) else string(a, b)
   }
 
   private def parse(s: String): Option[Double] =
-    if (s == null || s.isEmpty) None else s.toDoubleOption
+    if (s == null || s.isEmpty) None else s.toDoubleOption.filter(_.isFinite)
 
-  private def clamp(x: Double): Double = math.min(1.0, math.max(0.0, x))
+  /** Clamped to [0, 1]; NaN (∞/∞ when two huge finite values of opposite
+    * sign overflow the difference and the mean) is 0.
+    */
+  private def clamp(x: Double): Double = if (x > 0.0) math.min(1.0, x) else 0.0
 }

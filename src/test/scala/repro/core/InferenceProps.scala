@@ -1,6 +1,6 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop, Properties, Test}
+import org.scalacheck.{Arbitrary, Gen, Prop, Properties, Test}
 import org.scalacheck.Prop.propBoolean
 import repro.SparkSpec
 import repro.core.{UserConstraint => UC}
@@ -74,17 +74,26 @@ object InferenceProps extends Properties("Inference") {
       .selectExpr(("_tid" +: attrs.indices.map(j => s"vs[$j] as a$j")): _*)
   }
 
+  /** The relation's tuples, and each with one cell set to a value the
+    * relation lacks (an unseen parent value, a missing corr row).
+    */
+  private def withUnseen(rows: Seq[Array[String]], m: Int): Seq[Array[String]] =
+    rows ++ rows.zipWithIndex.map { case (t, i) => t.updated(i % m, "zz") }
+
+  /** BClean-UC, BClean_PI and BClean_PIP with the case's α, score parameters
+    * and domain-pruning budget.
+    */
+  private def partitioned(alpha: Double, params: CompensatoryScore.Params, topK: Int): Seq[BClean.Config] =
+    Seq(BClean.Config.noUc, BClean.Config.pi, BClean.Config.pip).map { c =>
+      c.copy(score = params, cptAlpha = alpha, inference = c.inference.copy(topK = topK))
+    }
+
   property("the kernel scores every candidate exactly as Inference.score, and repairTuple repairs as the " +
     "per-candidate reference loop") =
     Prop.forAllNoShrink(genKernelCase) { case (rows, attrs, ucs, dag, alpha, params, topK) =>
       val df = relation(rows, attrs)
-      // The relation's tuples, and each with one cell set to a value the
-      // relation lacks (an unseen parent value, a missing corr row).
-      val tuples = rows ++ rows.zipWithIndex.map { case (t, i) => t.updated(i % attrs.length, "zz") }
-      val variants = Seq(BClean.Config.noUc, BClean.Config.pi, BClean.Config.pip).map { c =>
-        c.copy(score = params, cptAlpha = alpha, inference = c.inference.copy(topK = topK))
-      }
-      Prop.all(variants.map { cfg =>
+      val tuples = withUnseen(rows, attrs.length)
+      Prop.all(partitioned(alpha, params, topK).map { cfg =>
         val model = BClean.buildModel(df, attrs, ucs, cfg, presetDag = Some(dag))
         val lists = attrs.indices.forall { j =>
           val base = if (cfg.inference.domainPruning) model.prunedDomains(j) else model.domains(j)
@@ -97,6 +106,44 @@ object InferenceProps extends Properties("Inference") {
           s"repairs differ on ${repairs.take(3).map(_.mkString("|"))}"
       }: _*)
     }
+
+  property("every repair passes its margin rule: a NULL fill leads every other candidate by NullFillMargin, a " +
+    "UC-valid incumbent is beaten by more than RepairMargin, a UC-violating one is beaten") =
+    Prop.forAllNoShrink(genKernelCase) { case (rows, attrs, ucs, dag, alpha, params, topK) =>
+      val df = relation(rows, attrs)
+      Prop.all(partitioned(alpha, params, topK).map { cfg =>
+        val model = BClean.buildModel(df, attrs, ucs, cfg, presetDag = Some(dag))
+        val broken = for {
+          t <- withUnseen(rows, attrs.length)
+          out = Inference.repairTuple(model, t)
+          j <- attrs.indices if out(j) != t(j)
+          selfW = model.selfWeight(t)
+          score = (c: String) => Inference.score(model, j, c, t, selfW)
+          c = out(j)
+          ok =
+            if (Values.isNull(t(j)))
+              model.kernel.candidates(j).forall(o => o == c || score(c) - score(o) >= Inference.NullFillMargin)
+            else if (model.ucs(attrs(j)).holds(t(j))) score(c) > score(t(j)) + Inference.RepairMargin
+            else score(c) > score(t(j))
+          if !ok
+        } yield (t.mkString("|"), j, c)
+        broken.isEmpty :| s"${cfg.inference}: repairs past no margin ${broken.take(3)}"
+      }: _*)
+    }
+
+  /** Strings as the edit-distance properties draw them, plus the empty
+    * string, one character and arbitrary Unicode.
+    */
+  private val anyString: Gen[String] = Gen.oneOf(
+    Gen.stringOf(Gen.alphaLowerChar).map(_.take(12)),
+    Gen.stringOf(Gen.oneOf('a', 'b')).map(_.take(12)),
+    Gen.const(""),
+    Gen.alphaNumChar.map(_.toString),
+    Arbitrary.arbitrary[String])
+
+  property("the observation term is never positive") = Prop.forAll(anyString, anyString) { (o, c) =>
+    Inference.obsLog(o, c) <= 0.0
+  }
 
   /** The lead by which `repairTuple` decides cell (t, j): the winner's
     * score over the runner-up's, the incumbent (with its repair margin)

@@ -36,8 +36,8 @@ object ReferenceLoop {
     out
   }
 
-  /** The candidates of `t` whose kernel score differs from
-    * `Inference.score`, or (partitioned variants) whose BN term or
+  /** The candidates of `t` whose kernel evidence differs from
+    * `Inference.evidence`, or (partitioned variants) whose BN term or
     * Score_corr differs from `BayesNet.blanketLog` or
     * `CompensatoryScore.scoreCorr`; each as (j, candidate, term, kernel,
     * reference). Compared with `==`; empty when the kernel is exact.
@@ -47,7 +47,7 @@ object ReferenceLoop {
     val n = model.co.nRows
     model.attrs.indices.flatMap { j =>
       val cands = model.kernel.candidates(j)
-      val ps = model.kernel.scores(j, t)
+      val ev = model.kernel.evidence(j, t)
       val layers =
         if (!model.cfg.partitioned) Nil
         else Seq(
@@ -56,7 +56,7 @@ object ReferenceLoop {
             (c: String) => CompensatoryScore.scoreCorr(model.corr, n, j, c, t)))
       cands.indices.filter(i => cands(i) != t(j)).flatMap { i =>
         val c = cands(i)
-        (("score", ps, (c: String) => Inference.score(model, j, c, t, selfW)) +: layers).collect {
+        (("evidence", ev, (c: String) => Inference.evidence(model, j, c, t, selfW)) +: layers).collect {
           case (term, kernel, ref) if kernel(i) != ref(c) => (j, c, term, kernel(i), ref(c))
         }
       }

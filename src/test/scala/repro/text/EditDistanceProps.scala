@@ -47,4 +47,20 @@ object EditDistanceProps extends Properties("EditDistance") {
     val s = Similarity.string(a, b)
     s >= 0.0 && s <= 1.0
   }
+
+  // Numbers in every form `toDouble` reads, exponents past the double range
+  // (a typo'd id such as `1e999`) and huge opposite-sign values included.
+  private val number: Gen[String] = for {
+    sign <- Gen.oneOf("", "-", "+")
+    mantissa <- Gen.oneOf(Gen.numStr.map(_.take(6)), Gen.const("1.5"), Gen.const(".5"))
+    exp <- Gen.option(Gen.zip(Gen.oneOf("e", "E"), Gen.oneOf("", "-"), Gen.choose(0, 999)))
+  } yield sign + mantissa + exp.fold("") { case (e, s, x) => s"$e$s$x" }
+
+  private val value: Gen[String] =
+    Gen.oneOf(word, number, Gen.oneOf("1e999", "-1e999", "1.5e308", "-1.5e308", "NaN", "Infinity"))
+
+  property("value similarity stays within [0,1], never NaN") = Prop.forAll(value, value) { (a, b) =>
+    val s = Similarity.value(a, b)
+    s >= 0.0 && s <= 1.0
+  }
 }

@@ -46,6 +46,10 @@ class SimilaritySpec extends AnyFunSuite {
     assert(Similarity.numeric(-5, 5) == 0.0)
   }
 
+  test("numeric similarity is 0, not NaN, when the difference and the mean overflow") {
+    assert(Similarity.numeric(1.5e308, -1.5e308) == 0.0)
+  }
+
   test("value dispatches numerics to numeric similarity") {
     assert(Similarity.value("10", "8") == Similarity.numeric(10, 8))
   }
@@ -56,6 +60,12 @@ class SimilaritySpec extends AnyFunSuite {
 
   test("value with one numeric and one string uses string similarity") {
     assert(Similarity.value("12", "1x") == Similarity.string("12", "1x"))
+  }
+
+  test("value compares a number past the double range as a string") {
+    // Typo'd ids: `1e999`, `1e998` and `1e2138` parse as ∞, which is no number to compare.
+    assert(Similarity.value("1e999", "1e998") == Similarity.string("1e999", "1e998"))
+    assert(Similarity.value("1e2138", "12138") == Similarity.string("1e2138", "12138"))
   }
 
   test("string similarity clamps negative values to 0") {
