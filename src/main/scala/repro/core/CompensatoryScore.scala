@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Compensatory scoring model (Section 5, Algorithm 2).
@@ -12,8 +12,9 @@ import org.apache.spark.sql.functions._
   * by |D|.
   *
   * Confidence is one Scala function, `confidence`, run per row as a UDF by
-  * `withConfidence` and per tuple by inference; the corr table is the
-  * Σ weight column of the one `Stats` aggregation.
+  * `withConfidence` and per tuple by inference; the per-tuple weight is one
+  * Scala function, `weight`, run per row by the `Stats` pass. The corr
+  * table is the Σ weight column of that one shuffle-free pass.
   */
 object CompensatoryScore {
 
@@ -39,8 +40,8 @@ object CompensatoryScore {
   /** The corr table of Algorithm 2 as a DataFrame with columns
     * (ai, aj, c, e, w): for each ordered attribute pair (A_i, A_j), i ≠ j,
     * and non-NULL value pair (c, e), w = Σ_T weight(conf(T)). A projection
-    * of `Stats.aggregate`, so it sums exactly as `Stats.compute` does.
-    * Normalization by |D| happens at lookup time.
+    * of the local DataFrame `Stats.aggregate` returns, so it sums exactly
+    * as `Stats.compute` does. Normalization by |D| happens at lookup time.
     */
   def corrTable(dfWithConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame =
     Stats.aggregate(dfWithConf, attrs, tau, beta)
@@ -91,9 +92,6 @@ object CompensatoryScore {
     */
   def weight(conf: Double, tau: Double, beta: Double): Double =
     if (conf >= tau) 1.0 else -beta * (tau - conf) / math.max(tau, 1e-9)
-
-  private[core] def weightExpr(conf: Column, tau: Double, beta: Double): Column =
-    udf((c: Double) => weight(c, tau, beta)).apply(conf)
 
   /** The paper combines scores as log(BN) + log(CS). Score_corr may be ≤ 0
     * (β-penalties), where a raw log is undefined; since only the relative

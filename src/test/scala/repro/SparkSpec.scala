@@ -1,8 +1,8 @@
 package repro
 
-import java.util.concurrent.atomic.AtomicInteger
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -22,17 +22,28 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** The result of `f` and the number of Spark jobs it started. */
   def jobsOf[A](f: => A): (A, Int) = {
+    val (a, jobs, _) = workOf(f)
+    (a, jobs)
+  }
+
+  /** The result of `f`, the number of Spark jobs it started and the bytes
+    * its tasks wrote to shuffle files.
+    */
+  def workOf[A](f: => A): (A, Int, Long) = {
     val sc = spark.sparkContext
     val jobs = new AtomicInteger
+    val shuffleBytes = new AtomicLong
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(e.taskMetrics).foreach(m => shuffleBytes.addAndGet(m.shuffleWriteMetrics.bytesWritten))
     }
     ListenerBusAccess.drain(sc)
     sc.addSparkListener(listener)
     try {
       val a = f
       ListenerBusAccess.drain(sc)
-      (a, jobs.get)
+      (a, jobs.get, shuffleBytes.get)
     } finally sc.removeSparkListener(listener)
   }
 }

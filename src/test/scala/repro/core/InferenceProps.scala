@@ -34,17 +34,32 @@ object InferenceProps extends Properties("Inference") {
     (rows, attrs, ucs, CompensatoryScore.Params(lambda, beta, tau))
   }
 
-  /** A relation of 1–8 attributes over a pool of values of lengths 1–3,
-    * with NULLs and values unique to their row; random length UCs; a random
-    * DAG (edges follow a random rank, so a node may have several parents or
+  /** Long ids and one-edit variants of them: distinct values of one column
+    * as similar as 0.9 (10 characters) and 0.99 (100 characters). A probe
+    * tuple cuts each long id by its first or its last character
+    * (`withUnseen`), so the observation terms of its near-duplicate
+    * candidates lie within 0.05 of 0, and the candidate that wins can
+    * differ from the first one in canonical order only in that term.
+    */
+  private val nearDuplicates: Seq[String] = {
+    val id10 = "h012345678"
+    val id100 = ("provider-" * 12).take(91) + "012345678"
+    Seq(id10, id10.updated(9, '9'), id100, id100.updated(99, '9'), id100.updated(0, 'a'))
+  }
+
+  /** A relation of 1–8 attributes over a pool of values of lengths 1–3 and
+    * of near-duplicate long ids, with NULLs and values unique to their row;
+    * random length UCs, some of which admit the long ids; a random DAG
+    * (edges follow a random rank, so a node may have several parents or
     * none); α; score parameters; and the domain-pruning budget.
     */
   private val genKernelCase = for {
     m <- Gen.choose(1, 8)
     n <- Gen.choose(1, 30)
-    cells <- Gen.listOfN(n * m,
-      Gen.frequency(10 -> Gen.oneOf("a", "b", "ab", "ba", "abc", "bcd"), 1 -> Gen.const(""), 1 -> Gen.const("u")))
-    ucs <- Gen.listOfN(m, Gen.option(Gen.zip(Gen.choose(1, 3), Gen.choose(0, 2))))
+    cells <- Gen.listOfN(n * m, Gen.frequency(10 -> Gen.oneOf("a", "b", "ab", "ba", "abc", "bcd"),
+      5 -> Gen.oneOf(nearDuplicates), 1 -> Gen.const(""), 1 -> Gen.const("u")))
+    ucs <- Gen.listOfN(m, Gen.option(Gen.frequency(3 -> Gen.zip(Gen.choose(1, 3), Gen.choose(0, 2)),
+      1 -> Gen.const((10, 90)))))
     rank <- Gen.listOfN(m, Gen.choose(0, 1000))
     edges <- Gen.listOfN(m * m, Gen.frequency(3 -> true, 2 -> false))
     alpha <- Gen.oneOf(0.0, 0.05, 1.0)
@@ -74,11 +89,18 @@ object InferenceProps extends Properties("Inference") {
       .selectExpr(("_tid" +: attrs.indices.map(j => s"vs[$j] as a$j")): _*)
   }
 
-  /** The relation's tuples, and each with one cell set to a value the
-    * relation lacks (an unseen parent value, a missing corr row).
+  /** The relation's tuples; each with one cell set to a value the relation
+    * lacks (an unseen parent value, a missing corr row); and each that
+    * holds a long id with every long id cut by its first, then by its last
+    * character.
     */
-  private def withUnseen(rows: Seq[Array[String]], m: Int): Seq[Array[String]] =
-    rows ++ rows.zipWithIndex.map { case (t, i) => t.updated(i % m, "zz") }
+  private def withUnseen(rows: Seq[Array[String]], m: Int): Seq[Array[String]] = {
+    val longIds = rows.filter(_.exists(_.length >= 10))
+    rows ++ rows.zipWithIndex.map { case (t, i) => t.updated(i % m, "zz") } ++
+      Seq((v: String) => v.drop(1), (v: String) => v.dropRight(1)).flatMap { cut =>
+        longIds.map(_.map(v => if (v.length >= 10) cut(v) else v))
+      }
+  }
 
   /** BClean-UC, BClean_PI and BClean_PIP with the case's α, score parameters
     * and domain-pruning budget.

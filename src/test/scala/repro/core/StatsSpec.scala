@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.{Oracle, SparkSpec}
 import repro.core.{UserConstraint => UC}
 import repro.data.Benchmarks
 import repro.graph.Dag
@@ -38,6 +38,41 @@ class StatsSpec extends SparkSpec {
       stats.co.pairs(ij).keysIterator.foreach(keys.add)
       assert(ws.keysIterator.forall(keys.contains), ij)
     }
+    // The pass sums i ≤ j only; each (j, i) table is the mirror of (i, j),
+    // with the same counts and the same weights bit for bit.
+    for ((i, j) <- stats.co.pairs.keys if i < j) {
+      def swapped[V](m: Map[(String, String), V]) = m.map { case ((c, e), v) => (e, c) -> v }
+      assert(stats.co.pairs((j, i)) == swapped(stats.co.pairs((i, j))), (j, i))
+      assert(stats.corr.get((j, i)) == stats.corr.get((i, j)).map(swapped), (j, i))
+    }
+    assert(stats.corr.keySet == stats.corr.keySet.map(_.swap))
+  }
+
+  test("the whole Stats table matches one DuckDB GROUP BY over the melted attribute pairs") {
+    val p = CompensatoryScore.Params()
+    val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, p.lambda)
+    // Every ordered pair, the diagonal included; NULL is the empty string.
+    val melted = (for { i <- attrs.indices; j <- attrs.indices } yield
+      s"SELECT $i AS ai, $j AS aj, coalesce(${attrs(i)}, '') AS c, coalesce(${attrs(j)}, '') AS e, " +
+        "CAST(conf AS DOUBLE) AS conf FROM t").mkString(" UNION ALL ")
+    val sql =
+      s"""SELECT ai, aj, c, e, count(*) AS n,
+          sum(CASE WHEN conf >= ${p.tau} THEN 1.0 ELSE -${p.beta} * (${p.tau} - conf) / ${p.tau} END) AS w
+          FROM ($melted) GROUP BY ai, aj, c, e"""
+    val t = wc.select((attrs :+ "conf").map(wc(_)): _*)
+    val table = Stats.aggregate(wc, attrs, p.tau, p.beta)
+    // The fixture's UC violations put tuples below τ, so β-weights occur.
+    assert(table.where("w < 0 AND c <> '' AND e <> ''").count() > 0)
+    Oracle.assertEquivalent(table, sql, "t" -> t)
+    // compute holds the same table: the counts in co, the non-NULL,
+    // non-zero weights of the off-diagonal pairs in corr.
+    import spark.implicits._
+    val counts = stats.co.unary.toSeq.flatMap { case (i, m) => m.map { case (v, n) => (i, i, v, v, n) } } ++
+      stats.co.pairs.toSeq.flatMap { case ((i, j), m) => m.map { case ((c, e), n) => (i, j, c, e, n) } }
+    Oracle.assertEquivalent(counts.toDF("ai", "aj", "c", "e", "n"), s"SELECT ai, aj, c, e, n FROM ($sql)", "t" -> t)
+    val weights = stats.corr.toSeq.flatMap { case ((i, j), m) => m.map { case ((c, e), w) => (i, j, c, e, w) } }
+    Oracle.assertEquivalent(weights.toDF("ai", "aj", "c", "e", "w"),
+      s"SELECT ai, aj, c, e, w FROM ($sql) WHERE ai <> aj AND c <> '' AND e <> '' AND w <> 0", "t" -> t)
   }
 
   test("domains are in canonical order: count descending, then value") {
@@ -71,11 +106,21 @@ class StatsSpec extends SparkSpec {
     assert(bn.cpts == BayesNet.learn(dirty, attrs, bn.dag, alpha = 0.05).cpts)
   }
 
-  test("buildModel starts at most two jobs beyond structure learning") {
+  test("the pass is one Spark job and writes no shuffle bytes, in compute and in corrTable") {
+    val (_, jobs, shuffleBytes) = workOf(Stats.compute(dirty, attrs, ucs))
+    assert((jobs, shuffleBytes) == ((1, 0L)))
+    // corrTable reads the local DataFrame of one pass: collecting it adds no job.
+    val wc = CompensatoryScore.withConfidence(dirty, attrs, ucs, lambda = 1.0)
+    val (_, corrJobs, corrShuffleBytes) =
+      workOf(CompensatoryScore.collect(CompensatoryScore.corrTable(wc, attrs, 0.5, 2.0)))
+    assert((corrJobs, corrShuffleBytes) == ((1, 0L)))
+  }
+
+  test("buildModel starts exactly one job beyond structure learning") {
     val cfg = BClean.Config.pip
     val (_, structureJobs) = jobsOf(StructureLearner.learn(dirty, attrs, cfg.structure))
     val (_, modelJobs) = jobsOf(BClean.buildModel(dirty, attrs, ucs, cfg, userEdits = Seq((0, 1), (1, 2))))
-    assert(modelJobs <= structureJobs + 2, s"structure $structureJobs jobs, model $modelJobs jobs")
+    assert(modelJobs == structureJobs + 1, s"structure $structureJobs jobs, model $modelJobs jobs")
   }
 
   test("the model and the PIP output do not depend on spark.sql.shuffle.partitions") {

@@ -81,12 +81,12 @@ class StructureLearnerSpec extends SparkSpec {
     } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
   }
 
-  test("learn starts at most two Spark jobs, buildModel at most four") {
+  test("learn starts at most two Spark jobs, buildModel at most three") {
     val dirty = Fixtures.fdTableDirty(spark, 120)
     val (_, learnJobs) = jobsOf(StructureLearner.learn(dirty, attrs))
     assert(learnJobs <= 2, s"learn started $learnJobs jobs")
     val (_, modelJobs) = jobsOf(BClean.buildModel(dirty, attrs, UcSet.empty, BClean.Config.pip))
-    assert(modelJobs <= 4, s"buildModel started $modelJobs jobs")
+    assert(modelJobs <= 3, s"buildModel started $modelJobs jobs")
   }
 
   test("identical-attribute pairs produce similarity 1") {
