@@ -65,7 +65,7 @@ object BClean {
     Inference.Model(attrs, bn, stats.corr, stats.co, domains, pruned, effUcs, cfg.inference, cfg.score)
   }
 
-  /** Every attribute is read as a string (`Values.ofRow`, structure learning);
+  /** Every attribute is read as a string (`Values.ofRow`, in every pass);
     * fail here with the column's name rather than inside a Spark task.
     */
   private def requireStringAttrs(df: DataFrame, attrs: Seq[String]): Unit = {

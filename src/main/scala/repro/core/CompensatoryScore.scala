@@ -11,10 +11,10 @@ import org.apache.spark.sql.functions._
   * tuples whose UC-based confidence (Eq. 3) is ≥ τ and −β otherwise, divided
   * by |D|.
   *
-  * Confidence is one Scala function, `confidence`, run per row as a UDF by
-  * `withConfidence` and per tuple by inference; the per-tuple weight is one
-  * Scala function, `weight`, run per row by the `Stats` pass. The corr
-  * table is the Σ weight column of that one shuffle-free pass.
+  * A tuple's weight is one Scala function, `tupleWeight`, called per tuple
+  * by the `Stats` pass and by inference's leave-one-out term; the corr
+  * table is the Σ weight column of that pass. `withConfidence` and
+  * `corrTable` rebuild the table from a `conf` column, for a replay.
   */
 object CompensatoryScore {
 
@@ -30,6 +30,10 @@ object CompensatoryScore {
     val viol = t.length - sat
     math.max(0.0, (sat - lambda * viol) / t.length)
   }
+
+  /** A tuple's weight in every corr entry it touches (Algorithm 2). */
+  def tupleWeight(t: Array[String], attrs: Seq[String], ucs: UcSet, params: Params): Double =
+    weight(confidence(t, attrs, ucs, params.lambda), params.tau, params.beta)
 
   /** Adds the `conf` column (Eq. 3, `confidence`) to the relation. */
   def withConfidence(df: DataFrame, attrs: Seq[String], ucs: UcSet, lambda: Double): DataFrame = {
@@ -52,7 +56,9 @@ object CompensatoryScore {
     * (ai, aj) → ((c, e) → w). Zero-weight entries are dropped.
     */
   def collect(corrDf: DataFrame): Map[(Int, Int), Map[(String, String), Double]] =
-    Stats.corrOf(corrDf.collect().toSeq.map(r => (r.getInt(0), r.getInt(1), (r.getString(2), r.getString(3)), r.getDouble(4))))
+    corrDf.collect().groupBy(r => (r.getInt(0), r.getInt(1))).map { case (k, rs) =>
+      k -> rs.iterator.filter(_.getDouble(4) != 0.0).map(r => (r.getString(2), r.getString(3)) -> r.getDouble(4)).toMap
+    }
 
   /** Score_corr(c, t, A_j) from the collected corr map (Eq. 2), normalized by
     * the relation size. `self` is taken off every entry read: the weight the

@@ -49,12 +49,10 @@ object Inference {
       scoreParams: CompensatoryScore.Params = CompensatoryScore.Params(),
   ) extends Serializable {
 
-    /** The tuple's own contribution to every corr entry it touches: +1 when
-      * its confidence (Eq. 3) passes τ, −β otherwise. Needed for the
-      * leave-one-out correction in `csLog`.
+    /** The tuple's own weight in every corr entry it touches, as the `Stats`
+      * pass gave it: `csLog`'s leave-one-out correction takes it off.
       */
-    def selfWeight(t: Array[String]): Double = CompensatoryScore.weight(
-      CompensatoryScore.confidence(t, attrs, ucs, scoreParams.lambda), scoreParams.tau, scoreParams.beta)
+    def selfWeight(t: Array[String]): Double = CompensatoryScore.tupleWeight(t, attrs, ucs, scoreParams)
 
     /** The per-cell scoring step, built on first use in each JVM and never
       * serialized: the broadcast model stays the tables above.

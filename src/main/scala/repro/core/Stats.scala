@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
+import scala.collection.mutable
 
 /** The sufficient statistics of the whole model (Sections 4 and 5): for
   * every ordered attribute pair (A_i, A_j), the diagonal i = j included, and
@@ -8,11 +9,11 @@ import org.apache.spark.sql.DataFrame
   * tuples and the sum of their confidence weights (Algorithm 2). NULL is the
   * empty string and is counted like any other value.
   *
-  * One shuffle-free Spark job computes them (`compute`): each partition
-  * pre-aggregates its rows for the pairs i ≤ j, the driver collects the
-  * partials and merges them in partition order, and mirrors every (i, j)
-  * entry as (j, i). CPTs, priors, domains, the co-occurrence counts and the
-  * corr table are all projections of that one result, derived on the driver.
+  * One shuffle-free Spark job computes them (`compute`): each task weighs
+  * its tuples by `CompensatoryScore.tupleWeight` and pre-aggregates the
+  * pairs i ≤ j; the driver merges the partials in partition order and fills
+  * every table in one loop, mirroring each (i, j) entry as (j, i). CPTs,
+  * priors, domains, co-occurrence and corr are all projections of it.
   *
   * @param co   the counts: per attribute, value → count (the diagonal
   *             i = j); per ordered attribute pair i ≠ j, (c, e) → count
@@ -38,15 +39,19 @@ final case class Stats(
 
 object Stats {
 
-  /** The one pass as a local DataFrame with columns (ai, aj, c, e, n, w):
-    * tuple count and Σ weight(conf) per ordered attribute pair and value
-    * pair. `withConf` carries the `conf` column of
-    * `CompensatoryScore.withConfidence`. The rows are collected already, so
-    * querying the DataFrame starts no further Spark job.
+  /** The pass over a relation that carries the `conf` column of
+    * `CompensatoryScore.withConfidence`, each tuple weighed from that
+    * column, as a local DataFrame with columns (ai, aj, c, e, n, w): count
+    * and Σ weight per ordered attribute pair and value pair. Querying it
+    * starts no further Spark job.
     */
   def aggregate(withConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame = {
-    val rows = entries(withConf, attrs, tau, beta).toSeq.map(e => (e.ai, e.aj, e.ce._1, e.ce._2, e.n, e.w))
-    withConf.sparkSession.createDataFrame(rows).toDF("ai", "aj", "c", "e", "n", "w")
+    val confIdx = withConf.schema.fieldIndex("conf")
+    val rows = Seq.newBuilder[(Int, Int, String, String, Long, Double)]
+    pass(withConf, attrs, (row, _) => CompensatoryScore.weight(row.getDouble(confIdx), tau, beta)) {
+      (i, j, ce, s) => rows += ((i, j, ce._1, ce._2, s.n, s.w))
+    }
+    withConf.sparkSession.createDataFrame(rows.result()).toDF("ai", "aj", "c", "e", "n", "w")
   }
 
   /** Run the pass once. The UCs and score parameters only shape the
@@ -58,31 +63,27 @@ object Stats {
       ucs: UcSet = UcSet.empty,
       params: CompensatoryScore.Params = CompensatoryScore.Params(),
   ): Stats = {
-    val withConf = CompensatoryScore.withConfidence(df, attrs, ucs, params.lambda)
-    val (diag, off) = entries(withConf, attrs, params.tau, params.beta).partition(e => e.ai == e.aj)
-    val unary = attrs.indices.map(i => i -> Map.empty[String, Long]).toMap ++
-      diag.groupBy(_.ai).map { case (i, es) => i -> es.iterator.map(e => e.ce._1 -> e.n).toMap }
-    // Each (c, e) key is built once in `entries` and shared by `pairs` and `corr`.
-    val pairs = off.groupBy(e => (e.ai, e.aj)).map { case (k, es) => k -> es.iterator.map(e => e.ce -> e.n).toMap }
-    // NULL is not an observation: pairs with an empty side carry no
-    // co-occurrence signal (at a 30% missing rate they would dominate the
-    // table with noise). `CompensatoryScore.corrTable` filters alike.
-    val corr = corrOf(off.toSeq.collect { case Entry(i, j, ce @ (c, e), _, w) if !Values.isNull(c) && !Values.isNull(e) =>
-      (i, j, ce, w)
-    })
-    Stats(attrs, CoOccurrence(unary.get(0).fold(0L)(_.values.sum), unary, pairs), corr)
-  }
-
-  /** The corr map (ai, aj) → ((c, e) → w) from (ai, aj, (c, e), w) rows,
-    * keyed by the rows' own (c, e) instances; zero-weight entries are
-    * dropped.
-    */
-  def corrOf(rows: Seq[(Int, Int, (String, String), Double)]): Map[(Int, Int), Map[(String, String), Double]] =
-    rows.groupBy(r => (r._1, r._2)).map { case (k, rs) =>
-      k -> rs.iterator.filter(_._4 != 0.0).map(r => r._3 -> r._4).toMap
+    val unary = Array.fill(attrs.length)(Map.newBuilder[String, Long])
+    val pairs = mutable.Map.empty[(Int, Int), mutable.Builder[((String, String), Long), Map[(String, String), Long]]]
+    val corr = mutable.Map.empty[(Int, Int), mutable.Builder[((String, String), Double), Map[(String, String), Double]]]
+    pass(df, attrs, (_, t) => CompensatoryScore.tupleWeight(t, attrs, ucs, params)) { (i, j, ce, s) =>
+      if (i == j) unary(i) += ce._1 -> s.n
+      else {
+        pairs.getOrElseUpdate((i, j), Map.newBuilder) += ce -> s.n
+        // NULL is not an observation: pairs with an empty side carry no
+        // co-occurrence signal (at a 30% missing rate they would dominate
+        // the table with noise). `CompensatoryScore.corrTable` filters
+        // alike. A zero sum is dropped; its attribute pair stays.
+        if (!Values.isNull(ce._1) && !Values.isNull(ce._2)) {
+          val ws = corr.getOrElseUpdate((i, j), Map.newBuilder)
+          if (s.w != 0.0) ws += ce -> s.w
+        }
+      }
     }
-
-  private final case class Entry(ai: Int, aj: Int, ce: (String, String), n: Long, w: Double)
+    val counts = unary.indices.map(i => i -> unary(i).result()).toMap
+    Stats(attrs, CoOccurrence(counts.get(0).fold(0L)(_.values.sum), counts, pairs.view.mapValues(_.result()).toMap),
+      corr.view.mapValues(_.result()).toMap)
+  }
 
   /** Count and Σ weight of one (i, j, c, e) group; the sum starts at +0.0,
     * as Spark's `sum` does.
@@ -105,26 +106,24 @@ object Stats {
   private final case class Partial(pair: Array[Int], c: Array[String], e: Array[String], n: Array[Long],
       w: Array[Double])
 
-  /** The pass: one Spark job, no shuffle. Each partition sums its rows per
-    * (i, j, c, e) for i ≤ j, in row order; the driver adds the partition
-    * sums in partition order. That is the association of Spark's
-    * partial/final aggregation, so the sums depend on the input partitioning
-    * only. Every i < j entry is emitted a second time as (j, i, (e, c)) with
-    * the same count and sum: the same rows summed in the same order. Every
-    * value is one String instance across all entries, and each entry's
-    * (c, e) key is built once.
+  /** The pass: one Spark job, no shuffle. Each task reads its rows into
+    * tuples (`Values.ofRow`), weighs each by `weigh(row, tuple)` and sums
+    * per (i, j, c, e) for i ≤ j in row order; the driver adds the partition
+    * sums in partition order, the association of Spark's partial/final
+    * aggregation. `f` sees every merged entry, and every i < j entry again
+    * as (j, i, (e, c)). Each value is one String instance and each (c, e)
+    * key is built once.
     */
-  private def entries(withConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): Array[Entry] = {
-    val m = attrs.length
-    val ij = for { i <- 0 until m; j <- i until m } yield (i, j)
-    val idx = attrs.map(withConf.schema.fieldIndex).toArray
-    val confIdx = withConf.schema.fieldIndex("conf")
-    val partials = withConf.rdd.mapPartitions { rows =>
+  private def pass(df: DataFrame, attrs: Seq[String], weigh: (Row, Array[String]) => Double)(
+      f: (Int, Int, (String, String), Sum) => Unit): Unit = {
+    val ij = for { i <- attrs.indices; j <- i until attrs.length } yield (i, j)
+    val idx = attrs.map(df.schema.fieldIndex).toArray
+    val partials = df.rdd.mapPartitions { rows =>
       val sums = Array.fill(ij.length)(new Sums)
       val canon = new java.util.HashMap[String, String]
       rows.foreach { row =>
         val t = Values.ofRow(row, idx).map(v => canon.computeIfAbsent(v, _ => v))
-        val w = CompensatoryScore.weight(row.getDouble(confIdx), tau, beta)
+        val w = weigh(row, t)
         ij.indices.foreach { p =>
           val (i, j) = ij(p)
           add(sums(p), (t(i), t(j)), 1L, w)
@@ -146,14 +145,12 @@ object Stats {
     partials.foreach(part => part.pair.indices.foreach { k =>
       add(merged(part.pair(k)), (intern(part.c(k)), intern(part.e(k))), part.n(k), part.w(k))
     })
-    val out = Array.newBuilder[Entry]
     ij.indices.foreach { p =>
       val (i, j) = ij(p)
       merged(p).forEach { (ce, s) =>
-        out += Entry(i, j, ce, s.n, s.w)
-        if (i != j) out += Entry(j, i, ce.swap, s.n, s.w)
+        f(i, j, ce, s)
+        if (i != j) f(j, i, ce.swap, s)
       }
     }
-    out.result()
   }
 }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.Partitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.graph.Dag
 import repro.linalg.{GraphicalLasso, Mat}
 import repro.text.Similarity
@@ -21,8 +20,9 @@ import repro.text.Similarity
   *
   * The pairs are exact: every attribute's sorted block lies in one
   * partition, so all m·(n−1) adjacent pairs are scored, and ties on the
-  * sorted attribute keep input row order. The whole pass — one shuffle for
-  * every attribute's sort plus the covariance fold — runs as one Spark job.
+  * sorted attribute keep input row order; a Spark NULL is read as the empty
+  * string (`Values.ofRow`) and ties with it. The whole pass — one shuffle
+  * for every attribute's sort plus the covariance fold — runs as one job.
   */
 object StructureLearner {
 
@@ -39,26 +39,21 @@ object StructureLearner {
     * only m·(n−1) pairs are scored instead of n²). Returns an RDD of
     * m-dimensional similarity vectors; partition k holds attribute k's block.
     *
-    * One shuffle serves every attribute: each row is tagged with its input
-    * position (partition, row) and emitted once per attribute under the key
-    * (a, t[a], position). Partitioning on a and sorting within partitions
-    * lays attribute a's whole sorted block out as partition a.
+    * One shuffle serves every attribute: each row's tuple t is tagged with
+    * its input position (partition, row) and emitted once per attribute
+    * under the key (a, t[a], position). Partitioning on a and sorting within
+    * partitions lays attribute a's whole sorted block out as partition a.
     */
   def similarityObservations(df: DataFrame, attrs: Seq[String]): RDD[Array[Double]] = {
     val m = attrs.length
-    val keyed = df.select(attrs.map(col): _*).rdd.mapPartitionsWithIndex { (pid, rows) =>
-      var idx = -1L
-      rows.flatMap { r =>
-        idx += 1
-        val raw = Array.tabulate(m)(r.getString)
-        val cur = raw.map(Values.norm)
-        val pos = idx
-        Iterator.tabulate(m)(a => ((a, Option(raw(a)), pid, pos), cur))
+    val idx = attrs.map(df.schema.fieldIndex).toArray
+    val keyed = df.rdd.mapPartitionsWithIndex { (pid, rows) =>
+      rows.zipWithIndex.flatMap { case (r, pos) =>
+        val cur = Values.ofRow(r, idx)
+        Iterator.tabulate(m)(a => ((a, cur(a), pid, pos), cur))
       }
     }
     // NULL sorts first; ties on t[a] keep input row order, as a stable sort would.
-    implicit val keyOrder: Ordering[(Int, Option[String], Int, Long)] =
-      Ordering.Tuple4(Ordering.Int, Ordering.Option(Ordering.String), Ordering.Int, Ordering.Long)
     val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
     blocks.mapPartitions { rows =>
       var prev: Array[String] = null

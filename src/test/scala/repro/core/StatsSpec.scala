@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.core.{UserConstraint => UC}
 import repro.data.Benchmarks
@@ -73,6 +74,85 @@ class StatsSpec extends SparkSpec {
     val weights = stats.corr.toSeq.flatMap { case ((i, j), m) => m.map { case ((c, e), w) => (i, j, c, e, w) } }
     Oracle.assertEquivalent(weights.toDF("ai", "aj", "c", "e", "w"),
       s"SELECT ai, aj, c, e, w FROM ($sql) WHERE ai <> aj AND c <> '' AND e <> '' AND w <> 0", "t" -> t)
+  }
+
+  /** The gate of the stage-by-stage replay: the corr table rebuilt from a
+    * `conf` column (the UDF's confidence through `weight`) and the
+    * count-only pass equal `compute`'s tables, key sets included, although
+    * `compute` weighs each tuple in its task with `tupleWeight`.
+    */
+  private def replayAgrees(df: DataFrame, attrs: Seq[String], ucs: UcSet, p: CompensatoryScore.Params): Stats = {
+    val s = Stats.compute(df, attrs, ucs, p)
+    val replayed = CompensatoryScore.collect(CompensatoryScore.corrTable(
+      CompensatoryScore.withConfidence(df, attrs, ucs, p.lambda), attrs, p.tau, p.beta))
+    assert(s.corr.keySet == replayed.keySet)
+    assert(s.corr == replayed)
+    assert(s.co == CoOccurrence.compute(df, attrs))
+    s
+  }
+
+  /** The non-NULL value pairs of `s`'s counts, per attribute pair. */
+  private def nonNullPairs(s: Stats) = s.co.pairs.map { case (ij, m) =>
+    ij -> m.keySet.filter { case (c, e) => !Values.isNull(c) && !Values.isNull(e) }
+  }.filter(_._2.nonEmpty)
+
+  test("replay gate at β = 0: zero-weight entries are dropped, their attribute pairs kept") {
+    val s = replayAgrees(dirty, attrs, ucs, CompensatoryScore.Params(beta = 0.0))
+    val pairs = nonNullPairs(s)
+    assert(s.corr.keySet == pairs.keySet)
+    assert(pairs.exists { case (ij, ces) => s.corr(ij).keySet != ces }, "no zero-weight entry was dropped")
+    // Every tuple below τ: each attribute pair stays, with an empty map.
+    import spark.implicits._
+    val low = Seq((0L, "a", "p"), (1L, "b", "q"), (2L, "c", "")).toDF("_tid", "x", "y")
+    val lowUcs = UcSet(Map("x" -> UC.Length(5, 5)))
+    val l = replayAgrees(low, Seq("x", "y"), lowUcs, CompensatoryScore.Params(lambda = 4.0, beta = 0.0))
+    assert(l.corr == Map((0, 1) -> Map.empty, (1, 0) -> Map.empty))
+  }
+
+  test("replay gate at λ = 4: every UC-violating tuple carries a β-weight") {
+    val s = replayAgrees(dirty, attrs, ucs, CompensatoryScore.Params(lambda = 4.0))
+    assert(s.corr.values.exists(_.values.exists(_ < 0.0)))
+    assert(s.corr.keySet == nonNullPairs(s).keySet)
+  }
+
+  test("replay gate with an all-NULL column: it is counted, and has no corr pair") {
+    import spark.implicits._
+    val df = Seq((0L, "a", "p", null), (1L, "b", "q", null), (2L, "a", "p", null), (3L, "", "q", null))
+      .toDF("_tid", "x", "y", "z")
+    val s = replayAgrees(df, Seq("x", "y", "z"), UcSet(Map("x" -> UC.NotNull)), CompensatoryScore.Params())
+    assert(s.co.unary(2) == Map(Values.Null -> 4L))
+    assert(s.corr.keySet == Set((0, 1), (1, 0)))
+  }
+
+  test("replay gate on the beers-pip block") {
+    val keep = Seq("Id", "Ounces", "Abv", "BreweryId", "City")
+    val beers = Benchmarks.beers(spark, rows = 2410, seed = 1)
+    val s = replayAgrees(beers.dirty, keep, UcSet(beers.ucs.byAttr.filter { case (a, _) => keep.contains(a) }),
+      BClean.Config.pip.score)
+    assert(s.co.nRows == 2410L)
+  }
+
+  test("the leave-one-out weight of a tuple is the weight the pass gave it") {
+    import spark.implicits._
+    val attrs = Seq("a", "b", "c", "d")
+    // Tuple ("x1", "", "y", "z"): a violates its UC, so conf = (3 − λ)/4.
+    val df = Seq((0L, "x1", "", "y", "z")).toDF(("_tid" +: attrs): _*)
+    val ucs = UcSet(Map("a" -> UC.Length(5, 9)))
+    val t = Array("x1", "", "y", "z")
+    def model(p: CompensatoryScore.Params) = BClean.buildModel(df, attrs, ucs,
+      BClean.Config.pi.copy(score = p), presetDag = Some(Dag.empty(attrs.length)))
+    // Parameters away from the defaults, so the model must score with the
+    // ones the pass used.
+    val weighed = model(CompensatoryScore.Params(lambda = 2.0, beta = 3.0, tau = 0.6))
+    val w = weighed.selfWeight(t)
+    assert(w == -3.0 * (0.6 - 0.25) / 0.6)
+    val entries = weighed.corr.toSeq.flatMap { case (_, m) => m.values }
+    assert(entries.length == 6) // the ordered pairs of a, c and d
+    assert(entries.forall(_ == w))
+    // At β = 0 the tuple weighs zero, so every entry is dropped.
+    val zero = model(CompensatoryScore.Params(lambda = 2.0, beta = 0.0, tau = 0.6))
+    assert(zero.selfWeight(t) == 0.0)
+    assert(zero.corr.size == 6 && zero.corr.values.forall(_.isEmpty))
   }
 
   test("domains are in canonical order: count descending, then value") {

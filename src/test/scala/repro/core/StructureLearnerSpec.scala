@@ -81,6 +81,24 @@ class StructureLearnerSpec extends SparkSpec {
     } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
   }
 
+  test("a Spark NULL is read as the empty string: Σ and the DAG are those of the relation without NULLs") {
+    import spark.implicits._
+    // Column a mixes NULL and "" with real values; the numeric b and the
+    // FD-bound c tell adjacent pairs apart, so any sort order of the NULL
+    // and "" rows other than input order moves Σ.
+    def rows(nullAs: String) = (0 until 240).map { k =>
+      val a = k % 4 match { case 0 => nullAs; case 1 => ""; case r => s"a${k % 9}$r" }
+      (k.toLong, a, (k * 37 % 101).toString, s"c${k % 9}")
+    }.toDF("_tid", "a", "b", "c")
+    val attrs = Seq("a", "b", "c")
+    def learned(df: DataFrame) =
+      (StructureLearner.covariance(StructureLearner.similarityObservations(df, attrs), attrs.length).data.toSeq,
+        StructureLearner.learn(df, attrs))
+    val withNulls = rows(null)
+    assert(withNulls.where("a IS NULL").count() == 60 && withNulls.where("a = ''").count() == 60)
+    assert(learned(withNulls) == learned(rows(Values.Null)))
+  }
+
   test("learn starts at most two Spark jobs, buildModel at most three") {
     val dirty = Fixtures.fdTableDirty(spark, 120)
     val (_, learnJobs) = jobsOf(StructureLearner.learn(dirty, attrs))
