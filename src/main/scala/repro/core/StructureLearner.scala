@@ -53,7 +53,7 @@ object StructureLearner {
         Iterator.tabulate(m)(a => ((a, cur(a), pid, pos), cur))
       }
     }
-    // NULL sorts first; ties on t[a] keep input row order, as a stable sort would.
+    // "" (NULL) sorts first; ties on t[a] keep input row order, as a stable sort would.
     val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
     blocks.mapPartitions { rows =>
       var prev: Array[String] = null

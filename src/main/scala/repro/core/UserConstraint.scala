@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.text.Similarity
 import scala.util.matching.Regex
 
 /** User constraints (Section 2, Table 3): a UC is any predicate over a cell
@@ -29,11 +30,11 @@ object UserConstraint {
     def holds(v: String): Boolean = isNull(v) || (v.length >= min && v.length <= max)
   }
 
-  /** Value bounds for numeric attributes (inclusive). Non-numeric violates. */
+  /** Inclusive bounds on a `Similarity.number`; any other value violates. */
   final case class Range(min: Double, max: Double) extends UserConstraint {
     require(max >= min, s"bad range [$min,$max]")
     def holds(v: String): Boolean =
-      isNull(v) || v.toDoubleOption.exists(d => d >= min && d <= max)
+      isNull(v) || Similarity.number(v).exists(d => d >= min && d <= max)
   }
 
   /** Full-match regular expression (the "Pat" constraint of Section 7.3.1). */

@@ -3,7 +3,8 @@ package repro.text
 /** The paper's softened-FD similarity (Section 4).
   *
   * Strings:   Sim(a,b) = 1 − 2·ED(a,b) / (len(a)+len(b))   (clamped to [0,1])
-  * Numerics:  Sim(a,b) = 1 − |a−b| / ((|a|+|b|)/2)          (clamped to [0,1])
+  * Numerics:  Sim(a,b) = 1 − |a−b| / ((|a|+|b|)/2)          (clamped to [0,1]),
+  *            when both values are plain decimals (`number`)
   *
   * A null/empty observation has no evidence value; we define its similarity
   * to anything as 0 (and 1 for two equal nulls, matching strict FD semantics).
@@ -27,17 +28,18 @@ object Similarity {
     clamp(1.0 - math.abs(a - b) / denom)
   }
 
-  /** Dispatch: numeric similarity when both parse as finite doubles, else
-    * string. A typo'd identifier such as `1e999` parses as ∞, and ∞ is no
-    * number to compare: it gets string similarity.
-    */
-  def value(a: String, b: String): Double = {
-    val na = parse(a); val nb = parse(b)
-    if (na.isDefined && nb.isDefined) numeric(na.get, nb.get) else string(a, b)
-  }
+  /** Dispatch: numeric similarity when both are `number`s, else string. */
+  def value(a: String, b: String): Double =
+    number(a).zip(number(b)).fold(string(a, b)) { case (x, y) => numeric(x, y) }
 
-  private def parse(s: String): Option[Double] =
-    if (s == null || s.isEmpty) None else s.toDoubleOption.filter(_.isFinite)
+  /** A cell value as a number, as the `Range` UC reads it too: a plain
+    * decimal with a finite value. `128f`, ` 128`, `NaN` and a typo'd id such
+    * as `1e999` (∞) are strings: `128f` is a typo of `128`, not its value.
+    */
+  def number(s: String): Option[Double] =
+    if (s == null || !Decimal.matches(s)) None else Some(s.toDouble).filter(_.isFinite)
+
+  private val Decimal = """[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?""".r
 
   /** Clamped to [0, 1]; NaN (∞/∞ when two huge finite values of opposite
     * sign overflow the difference and the mean) is 0.

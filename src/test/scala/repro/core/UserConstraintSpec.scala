@@ -36,6 +36,14 @@ class UserConstraintSpec extends AnyFunSuite {
     assert(uc.check("abc") == 0)
   }
 
+  test("Range reads values as plain decimals: a suffix, blanks or a non-finite value violates") {
+    val uc = UC.Range(0.0, 1000.0)
+    Seq("128", "1e2", ".5", "+7", "5.").foreach(v => assert(uc.check(v) == 1, v))
+    Seq("128f", "128d", " 128", "128 ", "0x10", "NaN").foreach(v => assert(uc.check(v) == 0, v))
+    assert(UC.Range(0.0, Double.PositiveInfinity).check("1e999") == 0)
+    assert(UC.Range(Double.NegativeInfinity, Double.PositiveInfinity).check("Infinity") == 0)
+  }
+
   test("Pattern is a full match") {
     val uc = UC.Pattern("[1-9][0-9]{4}")
     assert(uc.check("35150") == 1)

@@ -49,12 +49,15 @@ object EditDistanceProps extends Properties("EditDistance") {
   }
 
   // Numbers in every form `toDouble` reads, exponents past the double range
-  // (a typo'd id such as `1e999`) and huge opposite-sign values included.
+  // (a typo'd id such as `1e999`), huge opposite-sign values, Java's `f`/`d`
+  // suffixes and surrounding blanks included.
   private val number: Gen[String] = for {
     sign <- Gen.oneOf("", "-", "+")
     mantissa <- Gen.oneOf(Gen.numStr.map(_.take(6)), Gen.const("1.5"), Gen.const(".5"))
     exp <- Gen.option(Gen.zip(Gen.oneOf("e", "E"), Gen.oneOf("", "-"), Gen.choose(0, 999)))
-  } yield sign + mantissa + exp.fold("") { case (e, s, x) => s"$e$s$x" }
+    pad <- Gen.oneOf("", "", "", " ")
+    suffix <- Gen.oneOf("", "", "", "f", "d", "F", "D", " ")
+  } yield pad + sign + mantissa + exp.fold("") { case (e, s, x) => s"$e$s$x" } + suffix
 
   private val value: Gen[String] =
     Gen.oneOf(word, number, Gen.oneOf("1e999", "-1e999", "1.5e308", "-1.5e308", "NaN", "Infinity"))

@@ -68,6 +68,20 @@ class SimilaritySpec extends AnyFunSuite {
     assert(Similarity.value("1e2138", "12138") == Similarity.string("1e2138", "12138"))
   }
 
+  test("number reads plain decimals only") {
+    Seq("128" -> 128.0, "-1.5e3" -> -1500.0, "+7" -> 7.0, ".5" -> 0.5, "5." -> 5.0, "2E-2" -> 0.02)
+      .foreach { case (s, d) => assert(Similarity.number(s).contains(d), s) }
+    Seq("128f", "128d", "128F", "128D", " 128", "128 ", "0x10", "NaN", "Infinity", "1e999", "", null,
+      ".", "1e", "e5", "1_000", "١٢٣").foreach(s => assert(Similarity.number(s).isEmpty, String.valueOf(s)))
+  }
+
+  test("value compares a suffixed or padded number as a string") {
+    Seq("128f" -> "128", "128d" -> "128", " 128" -> "128", "128" -> "128 ").foreach { case (a, b) =>
+      assert(Similarity.value(a, b) == Similarity.string(a, b), (a, b))
+      assert(Similarity.value(a, b) < 1.0, (a, b))
+    }
+  }
+
   test("string similarity clamps negative values to 0") {
     // ED can exceed avg length: "a" vs "xyz" → 1 − 2·3/4 < 0 → clamp.
     assert(Similarity.string("a", "xyz") == 0.0)
