@@ -36,10 +36,11 @@ object GarfLike {
   def clean(ds: CleaningDataset): DataFrame = {
     val co = CoOccurrence.compute(ds.dirty, ds.attrs)
     val rules = mineRules(co)
-    // Index rules by LHS for O(1) application; strongest rule wins per RHS.
+    // Index rules by LHS for O(1) application; strongest rule wins per RHS,
+    // ties to the smallest RHS value.
     val byLhs: Map[(Int, String), Seq[Rule]] = rules
       .groupBy(r => (r.lhsAttr, r.lhsVal))
-      .view.mapValues(_.groupBy(_.rhsAttr).values.map(_.maxBy(_.conf)).toSeq).toMap
+      .view.mapValues(_.groupBy(_.rhsAttr).values.map(_.minBy(r => (-r.conf, r.rhsVal))).toSeq).toMap
     Values.mapTuples(ds.dirty, ds.attrs, byLhs) { (idx, t) =>
       val out = t.clone()
       var i = 0

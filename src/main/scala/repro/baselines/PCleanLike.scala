@@ -23,7 +23,7 @@ object PCleanLike {
   val TypoCost: Double = 1.5
 
   /** For each group: pivot domain with counts, and pivot → majority implied
-    * values for each determined attribute.
+    * values for each determined attribute (ties to the smallest value).
     */
   final case class GroupModel(
       pivot: Int,
@@ -38,7 +38,7 @@ object PCleanLike {
       val vals = determined.flatMap { d =>
         co.pairs.get((pivot, d)).flatMap { mp =>
           val cands = mp.collect { case ((`v`, w), c) if w.nonEmpty => (w, c) }
-          if (cands.isEmpty) None else Some(d -> cands.maxBy(_._2)._1)
+          if (cands.isEmpty) None else Some(d -> cands.minBy { case (w, c) => (-c, w) }._1)
         }
       }.toMap
       v -> vals
@@ -53,16 +53,19 @@ object PCleanLike {
     val groups = spec.groups.map { case (p, det) =>
       learnGroup(co, attrPos(p), det.map(attrPos))
     }
-    Values.mapTuples(ds.dirty, ds.attrs, groups) { (groups, t) =>
+    // Each group's pivot values in canonical order (count descending, then
+    // value): the MAP below keeps the first of equally scored values.
+    val ranked = groups.map(g => g -> g.pivotCounts.toArray.sortBy { case (v, n) => (-n, v) })
+    Values.mapTuples(ds.dirty, ds.attrs, ranked) { (ranked, t) =>
       def editLik(obs: String, latent: String): Double =
         if (Values.isNull(obs)) -2.0 // missing-observation likelihood
         else -EditDistance.atMost(obs, latent, 8).toDouble / TypoCost
       val out = t.clone()
-      groups.foreach { g =>
+      ranked.foreach { case (g, pivots) =>
         // MAP over the pivot domain: prior × typo likelihood of the group.
         var bestV: String = null
         var bestS = Double.NegativeInfinity
-        g.pivotCounts.foreach { case (v, cnt) =>
+        pivots.foreach { case (v, cnt) =>
           var s = math.log(cnt.toDouble) + editLik(t(g.pivot), v)
           val imp = g.implied.getOrElse(v, Map.empty)
           g.determined.foreach { d =>

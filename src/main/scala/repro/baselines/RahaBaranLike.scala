@@ -94,7 +94,7 @@ object RahaBaranLike {
 
     // ---- correction model: domain candidates scored in context ------------
     val domains: Map[Int, IndexedSeq[String]] = co.unary.map { case (i, counts) =>
-      i -> counts.toSeq.sortBy(-_._2).take(300).map(_._1).filter(_.nonEmpty).toIndexedSeq
+      i -> counts.toSeq.sortBy { case (v, n) => (-n, v) }.take(300).map(_._1).filter(_.nonEmpty).toIndexedSeq
     }
     val model = (co, sizes, patterns, fdMaps, weights, wSum, domains)
     Values.mapTuples(dirty, ds.attrs, model) { case ((co, sizes, patterns, fdMaps, weights, wSum, domains), t) =>

@@ -9,6 +9,8 @@ import org.apache.spark.sql.DataFrame
   *  - pair counts   count(v_i, v_j) per ordered attribute pair.
   *
   * Both are projections of `Stats`; NULL (the empty string) is counted.
+  * `Stats.compute` gives `Map` views over its dictionary-encoded tables
+  * (`Encoded`), which the scoring kernel reads as arrays.
   */
 final case class CoOccurrence(
     nRows: Long,

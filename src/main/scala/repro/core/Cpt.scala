@@ -33,9 +33,12 @@ final case class Cpt(parent: Int, child: Int, alpha: Double, co: CoOccurrence) {
     */
   private[core] def probWithCount(p: String, n: Long): Double =
     parentCounts.get(p) match {
-      case Some(total) => (n + alpha) / (total + alpha * domSize)
+      case Some(total) => probWithCounts(total, n)
       case None => 1.0 / math.max(domSize, 1)
     }
+
+  /** `probWithCount` for a parent value seen `total` times. */
+  private[core] def probWithCounts(total: Long, n: Long): Double = (n + alpha) / (total + alpha * domSize)
 
   def logProb(p: String, v: String): Double = math.log(prob(p, v))
 

@@ -36,7 +36,10 @@ object Inference {
   val SimFloor: Double = 0.1       // similarity floor (caps the dissimilarity penalty)
   val NullFillMargin: Double = 0.5 // min winner-vs-runner-up gap to fill a NULL
 
-  /** Everything a partition needs to repair its tuples, broadcast once. */
+  /** Everything a partition needs to repair its tuples, broadcast once.
+    * `co` and `corr` are the tables of one `Stats.compute`: the scoring
+    * kernel of the partitioned variants reads their encoded arrays.
+    */
   final case class Model(
       attrs: Seq[String],
       bn: BayesNet,

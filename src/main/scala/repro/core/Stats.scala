@@ -1,7 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.jdk.CollectionConverters._
 
 /** The sufficient statistics of the whole model (Sections 4 and 5): for
   * every ordered attribute pair (A_i, A_j), the diagonal i = j included, and
@@ -11,15 +13,17 @@ import scala.collection.mutable
   *
   * One shuffle-free Spark job computes them (`compute`): each task weighs
   * its tuples by `CompensatoryScore.tupleWeight` and pre-aggregates the
-  * pairs i ≤ j; the driver merges the partials in partition order and fills
-  * every table in one loop, mirroring each (i, j) entry as (j, i). CPTs,
-  * priors, domains, co-occurrence and corr are all projections of it.
+  * pairs i ≤ j; the driver merges the partials in partition order and
+  * dictionary-encodes them (`Encoded`): per attribute its values in
+  * canonical order, per attribute pair i < j one table of code, count and
+  * weight arrays. CPTs, priors, domains, co-occurrence and corr are all
+  * projections of it.
   *
   * @param co   the counts: per attribute, value → count (the diagonal
   *             i = j); per ordered attribute pair i ≠ j, (c, e) → count
   * @param corr per ordered attribute pair i ≠ j: (c, e) → Σ weight, over
   *             pairs with both sides non-NULL; zero sums are dropped. Each
-  *             (c, e) key is the instance `co.pairs` holds.
+  *             map reads the table `co.pairs` reads.
   */
 final case class Stats(
     attrs: Seq[String],
@@ -29,10 +33,10 @@ final case class Stats(
 
   /** dom(A_j) in canonical order: count descending, then value. The order is
     * a function of the data alone, never of Spark's partitioning, and
-    * `DomainPruning` and `Inference.repairTuple` break ties by it.
+    * `DomainPruning` and `Inference.repairTuple` break ties by it. It wraps
+    * the dictionary's array.
     */
-  def domain(j: Int): IndexedSeq[String] =
-    co.unary(j).toIndexedSeq.sortBy { case (v, n) => (-n, v) }.map(_._1)
+  def domain(j: Int): IndexedSeq[String] = ArraySeq.unsafeWrapArray(Encoded.dict(co.unary(j)).values)
 
   def domains: Map[Int, IndexedSeq[String]] = attrs.indices.map(j => j -> domain(j)).toMap
 }
@@ -47,9 +51,17 @@ object Stats {
     */
   def aggregate(withConf: DataFrame, attrs: Seq[String], tau: Double, beta: Double): DataFrame = {
     val confIdx = withConf.schema.fieldIndex("conf")
+    val enc = pass(withConf, attrs, (row, _) => CompensatoryScore.weight(row.getDouble(confIdx), tau, beta))
     val rows = Seq.newBuilder[(Int, Int, String, String, Long, Double)]
-    pass(withConf, attrs, (row, _) => CompensatoryScore.weight(row.getDouble(confIdx), tau, beta)) {
-      (i, j, ce, s) => rows += ((i, j, ce._1, ce._2, s.n, s.w))
+    enc.dicts.indices.foreach { i =>
+      val d = enc.dicts(i)
+      d.values.indices.foreach(x => rows += ((i, i, d.values(x), d.values(x), d.counts(x), enc.unaryW(i)(x))))
+    }
+    enc.tables.foreach { case ((i, j), t) =>
+      (0 until t.size).foreach { k =>
+        val (c, e) = (t.di.values(t.c(k)), t.dj.values(t.e(k)))
+        rows += ((i, j, c, e, t.n(k), t.w(k))) += ((j, i, e, c, t.n(k), t.w(k)))
+      }
     }
     withConf.sparkSession.createDataFrame(rows.result()).toDF("ai", "aj", "c", "e", "n", "w")
   }
@@ -63,39 +75,27 @@ object Stats {
       ucs: UcSet = UcSet.empty,
       params: CompensatoryScore.Params = CompensatoryScore.Params(),
   ): Stats = {
-    val unary = Array.fill(attrs.length)(Map.newBuilder[String, Long])
-    val pairs = mutable.Map.empty[(Int, Int), mutable.Builder[((String, String), Long), Map[(String, String), Long]]]
-    val corr = mutable.Map.empty[(Int, Int), mutable.Builder[((String, String), Double), Map[(String, String), Double]]]
-    pass(df, attrs, (_, t) => CompensatoryScore.tupleWeight(t, attrs, ucs, params)) { (i, j, ce, s) =>
-      if (i == j) unary(i) += ce._1 -> s.n
-      else {
-        pairs.getOrElseUpdate((i, j), Map.newBuilder) += ce -> s.n
-        // NULL is not an observation: pairs with an empty side carry no
-        // co-occurrence signal (at a 30% missing rate they would dominate
-        // the table with noise). `CompensatoryScore.corrTable` filters
-        // alike. A zero sum is dropped; its attribute pair stays.
-        if (!Values.isNull(ce._1) && !Values.isNull(ce._2)) {
-          val ws = corr.getOrElseUpdate((i, j), Map.newBuilder)
-          if (s.w != 0.0) ws += ce -> s.w
-        }
-      }
+    val enc = pass(df, attrs, (_, t) => CompensatoryScore.tupleWeight(t, attrs, ucs, params))
+    val unary = enc.dicts.indices.map(i => i -> new Encoded.Unary(enc.dicts(i))).toMap
+    val pairs = Map.newBuilder[(Int, Int), Map[(String, String), Long]]
+    val corr = Map.newBuilder[(Int, Int), Map[(String, String), Double]]
+    enc.tables.foreach { case ((i, j), t) =>
+      pairs += (i, j) -> new Encoded.Pairs(t, transposed = false) += (j, i) -> new Encoded.Pairs(t, transposed = true)
+      // NULL is not an observation: pairs with an empty side carry no
+      // co-occurrence signal (at a 30% missing rate they would dominate
+      // the table with noise). `CompensatoryScore.corrTable` filters
+      // alike. A zero sum is dropped; its attribute pair stays.
+      if ((0 until t.size).exists(t.observed))
+        corr += (i, j) -> new Encoded.Corr(t, transposed = false) += (j, i) -> new Encoded.Corr(t, transposed = true)
     }
-    val counts = unary.indices.map(i => i -> unary(i).result()).toMap
-    Stats(attrs, CoOccurrence(counts.get(0).fold(0L)(_.values.sum), counts, pairs.view.mapValues(_.result()).toMap),
-      corr.view.mapValues(_.result()).toMap)
+    Stats(attrs, CoOccurrence(enc.dicts.headOption.fold(0L)(_.counts.sum), unary, pairs.result()), corr.result())
   }
 
   /** Count and Σ weight of one (i, j, c, e) group; the sum starts at +0.0,
     * as Spark's `sum` does.
     */
-  private final class Sum(var n: Long = 0L, var w: Double = 0.0)
-
-  private type Sums = java.util.HashMap[(String, String), Sum]
-
-  private def add(sums: Sums, ce: (String, String), n: Long, w: Double): Unit = {
-    val s = sums.computeIfAbsent(ce, _ => new Sum)
-    s.n += n
-    s.w += w
+  private final class Sum(var n: Long = 0L, var w: Double = 0.0) {
+    def add(dn: Long, dw: Double): Unit = { n += dn; w += dw }
   }
 
   /** One partition's pre-aggregate: entry k is attribute pair `pair(k)` (an
@@ -106,27 +106,32 @@ object Stats {
   private final case class Partial(pair: Array[Int], c: Array[String], e: Array[String], n: Array[Long],
       w: Array[Double])
 
+  /** The merged pass: per attribute its dictionary and the Σ weight of each
+    * value (the diagonal, by code); per attribute pair i < j that has
+    * entries, its table.
+    */
+  private final case class Encoding(dicts: Array[Encoded.Dict], unaryW: Array[Array[Double]],
+      tables: Seq[((Int, Int), Encoded.Table)])
+
   /** The pass: one Spark job, no shuffle. Each task reads its rows into
     * tuples (`Values.ofRow`), weighs each by `weigh(row, tuple)` and sums
     * per (i, j, c, e) for i ≤ j in row order; the driver adds the partition
     * sums in partition order, the association of Spark's partial/final
-    * aggregation. `f` sees every merged entry, and every i < j entry again
-    * as (j, i, (e, c)). Each value is one String instance and each (c, e)
-    * key is built once.
+    * aggregation. The diagonal's counts order each attribute's dictionary;
+    * every other entry is then merged on its codes.
     */
-  private def pass(df: DataFrame, attrs: Seq[String], weigh: (Row, Array[String]) => Double)(
-      f: (Int, Int, (String, String), Sum) => Unit): Unit = {
+  private def pass(df: DataFrame, attrs: Seq[String], weigh: (Row, Array[String]) => Double): Encoding = {
     val ij = for { i <- attrs.indices; j <- i until attrs.length } yield (i, j)
     val idx = attrs.map(df.schema.fieldIndex).toArray
     val partials = df.rdd.mapPartitions { rows =>
-      val sums = Array.fill(ij.length)(new Sums)
+      val sums = Array.fill(ij.length)(new java.util.HashMap[(String, String), Sum])
       val canon = new java.util.HashMap[String, String]
       rows.foreach { row =>
         val t = Values.ofRow(row, idx).map(v => canon.computeIfAbsent(v, _ => v))
         val w = weigh(row, t)
         ij.indices.foreach { p =>
           val (i, j) = ij(p)
-          add(sums(p), (t(i), t(j)), 1L, w)
+          sums(p).computeIfAbsent((t(i), t(j)), _ => new Sum).add(1L, w)
         }
       }
       val size = sums.iterator.map(_.size).sum
@@ -139,18 +144,31 @@ object Stats {
       Iterator.single(out)
     }.collect()
 
-    val canon = new java.util.HashMap[String, String]
-    def intern(v: String) = canon.computeIfAbsent(v, _ => v)
-    val merged = Array.fill(ij.length)(new Sums)
-    partials.foreach(part => part.pair.indices.foreach { k =>
-      add(merged(part.pair(k)), (intern(part.c(k)), intern(part.e(k))), part.n(k), part.w(k))
-    })
-    ij.indices.foreach { p =>
-      val (i, j) = ij(p)
-      merged(p).forEach { (ce, s) =>
-        f(i, j, ce, s)
-        if (i != j) f(j, i, ce.swap, s)
-      }
+    def entries(diagonal: Boolean)(f: (Int, Int, Partial, Int) => Unit): Unit =
+      partials.foreach(part => part.pair.indices.foreach { k =>
+        val (i, j) = ij(part.pair(k))
+        if ((i == j) == diagonal) f(i, j, part, k)
+      })
+    val unary = Array.fill(attrs.length)(new java.util.HashMap[String, Sum])
+    entries(diagonal = true)((i, _, part, k) => unary(i).computeIfAbsent(part.c(k), _ => new Sum).add(part.n(k), part.w(k)))
+    val ranked = unary.map(_.asScala.toArray.sortBy { case (v, s) => (-s.n, v) })
+    val dicts = ranked.map(vs => new Encoded.Dict(vs.map(_._1), vs.map(_._2.n)))
+    // Key (c, e) as code(c) · |dom(A_j)| + code(e): sorting the keys sorts
+    // the entries by (c, e).
+    val merged = Array.fill(ij.length)(mutable.LongMap.empty[Sum])
+    entries(diagonal = false) { (i, j, part, k) =>
+      val key = dicts(i).code(part.c(k)).toLong * dicts(j).size + dicts(j).code(part.e(k))
+      merged(part.pair(k)).getOrElseUpdate(key, new Sum).add(part.n(k), part.w(k))
     }
+    val tables = ij.indices.filter(p => ij(p)._1 != ij(p)._2 && merged(p).nonEmpty).map { p =>
+      val (i, j) = ij(p)
+      val keys = merged(p).keys.toArray
+      java.util.Arrays.sort(keys)
+      val sums = keys.map(merged(p))
+      val dj = dicts(j).size
+      ij(p) -> new Encoded.Table(dicts(i), dicts(j), keys.map(key => (key / dj).toInt), keys.map(key => (key % dj).toInt),
+        sums.map(_.n), sums.map(_.w))
+    }
+    Encoding(dicts, ranked.map(_.map(_._2.w)), tables)
   }
 }

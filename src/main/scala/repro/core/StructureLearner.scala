@@ -55,16 +55,20 @@ object StructureLearner {
     }
     // "" (NULL) sorts first; ties on t[a] keep input row order, as a stable sort would.
     val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
+    // Each row's values are read as numbers once and carried to the next pair.
     blocks.mapPartitions { rows =>
       var prev: Array[String] = null
+      var prevNum: Array[Double] = null
       rows.flatMap { case (_, cur) =>
+        val num = cur.map(Similarity.numberOrNaN)
         val out =
           if (prev == null) Iterator.empty
           else {
-            val p = prev
-            Iterator.single(Array.tabulate(m)(i => Similarity.value(p(i), cur(i))))
+            val (p, pNum) = (prev, prevNum)
+            Iterator.single(Array.tabulate(m)(i => Similarity.value(p(i), pNum(i), cur(i), num(i))))
           }
         prev = cur
+        prevNum = num
         out
       }
     }

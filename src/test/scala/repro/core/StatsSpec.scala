@@ -32,12 +32,16 @@ class StatsSpec extends SparkSpec {
     assert(stats.co.pairs.keys.forall { case (i, j) => i != j })
   }
 
-  test("corr and the co-occurrence pairs share each (c, e) key instance") {
+  test("corr and the co-occurrence pairs of (i, j) and (j, i) read one table") {
     assert(stats.corr.nonEmpty)
-    stats.corr.foreach { case (ij, ws) =>
-      val keys = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[(String, String), java.lang.Boolean])
-      stats.co.pairs(ij).keysIterator.foreach(keys.add)
-      assert(ws.keysIterator.forall(keys.contains), ij)
+    stats.corr.foreach { case ((i, j), ws) =>
+      // The same arrays, by reference: one table serves all four views.
+      val table = Encoded.view(ws).table
+      Seq(stats.co.pairs((i, j)), stats.co.pairs((j, i)), stats.corr((j, i))).foreach { v =>
+        assert(Encoded.view(v).table eq table, (i, j))
+      }
+      assert(Encoded.view(stats.co.pairs((i, j))).transposed == Encoded.view(ws).transposed)
+      assert(Encoded.view(stats.co.pairs((j, i))).transposed != Encoded.view(ws).transposed)
     }
     // The pass sums i ≤ j only; each (j, i) table is the mirror of (i, j),
     // with the same counts and the same weights bit for bit.
@@ -45,6 +49,10 @@ class StatsSpec extends SparkSpec {
       def swapped[V](m: Map[(String, String), V]) = m.map { case ((c, e), v) => (e, c) -> v }
       assert(stats.co.pairs((j, i)) == swapped(stats.co.pairs((i, j))), (j, i))
       assert(stats.corr.get((j, i)) == stats.corr.get((i, j)).map(swapped), (j, i))
+      stats.corr.get((i, j)).foreach(_.foreach { case ((c, e), w) =>
+        assert(java.lang.Double.doubleToRawLongBits(stats.corr((j, i))((e, c))) ==
+          java.lang.Double.doubleToRawLongBits(w), (j, i, e, c))
+      })
     }
     assert(stats.corr.keySet == stats.corr.keySet.map(_.swap))
   }
@@ -232,5 +240,32 @@ class StatsSpec extends SparkSpec {
       assert(m1.bn.cpts == m8.bn.cpts && m1.bn.priors == m8.bn.priors)
       assert(out1 == out8)
     } finally spark.conf.set("spark.sql.shuffle.partitions", prev)
+  }
+
+  test("the serialized model takes at most 32 bytes per stored value pair") {
+    // The beers-pip block: an all-distinct Id column and four small ones.
+    val keep = Seq("Id", "Ounces", "Abv", "BreweryId", "City")
+    val beers = Benchmarks.beers(spark, rows = 2410, seed = 1)
+    val ucs = UcSet(beers.ucs.byAttr.filter { case (a, _) => keep.contains(a) })
+    val dag = Dag(keep.length, Map((3, 4) -> 1.0, (3, 0) -> 1.0))
+    val model = BClean.buildModel(beers.dirty.selectExpr(("_tid" +: keep): _*), keep, ucs, BClean.Config.pip,
+      presetDag = Some(dag))
+    // Each value pair of attributes i < j is stored once, for both of its
+    // directions, as two Int codes, a Long count and a Double weight: 24
+    // bytes. Every value is stored once too, as its string and a Long count;
+    // here the dictionaries, the pruned domains and the rest of the model
+    // come to about 3.5 bytes per stored pair. A map entry of its own (a key
+    // tuple, a boxed value, a hash node) costs more than the whole bound,
+    // once per direction.
+    val stored = model.co.pairs.valuesIterator.map(_.size.toLong).sum / 2
+    var bytes = 0L
+    val out = new java.io.ObjectOutputStream(new java.io.OutputStream {
+      override def write(b: Int): Unit = bytes += 1
+      override def write(b: Array[Byte], off: Int, len: Int): Unit = bytes += len
+    })
+    out.writeObject(model)
+    out.close()
+    assert(stored > 10000L)
+    assert(bytes <= 32L * stored, s"$bytes bytes for $stored stored pairs (${bytes.toDouble / stored} per pair)")
   }
 }
