@@ -51,12 +51,13 @@ object BClean {
   ): Inference.Model = {
     requireStringAttrs(dirty, attrs)
     val effUcs = if (cfg.inference.useUc) ucs else UcSet.empty
-    val dag0 = presetDag.getOrElse(StructureLearner.learn(dirty, attrs, cfg.structure))
+    // Everything below is derived on the driver from this one pass, the
+    // network included.
+    val stats = Stats.compute(dirty, attrs, effUcs, cfg.score)
+    val dag0 = presetDag.getOrElse(StructureLearner.learn(stats.relation, cfg.structure))
     // Section 7.3.2: the user inspects the learned network and adjusts it
     // with lightweight domain knowledge (FD-shaped edges).
     val dag = dag0.reconcile(userEdits)
-    // Everything below is derived on the driver from this one aggregation.
-    val stats = Stats.compute(dirty, attrs, effUcs, cfg.score)
     val bn = BayesNet(attrs, dag, stats.co, cfg.cptAlpha)
     val domains = stats.domains
     val pruned =

@@ -10,7 +10,8 @@ import scala.collection.immutable.AbstractMap
   *    there; NULL ("") is a value and has a code like any other;
   *  - per attribute pair i < j, one `Table` of parallel primitive arrays,
   *    sorted by (c, e): code of c in dom(A_i), code of e in dom(A_j), count
-  *    and Σ weight of the tuples holding (c, e).
+  *    and Σ weight of the tuples holding (c, e);
+  *  - the relation itself, one code array per attribute (`Relation`).
   *
   * `co.unary`, `co.pairs` and `corr` are `Map` views that read these arrays
   * in place. The (j, i) view is a transposed read of the (i, j) table, so a
@@ -85,6 +86,12 @@ object Encoded {
     /** Both values non-NULL: the pair is an observation for corr. */
     def observed(k: Int): Boolean = !Values.isNull(di.values(c(k))) && !Values.isNull(dj.values(e(k)))
   }
+
+  /** A relation by code: row r's value of attribute a is
+    * `dicts(a).values(codes(a)(r))`. Rows are in input order: by partition,
+    * then by position within the partition.
+    */
+  final class Relation(val dicts: Array[Dict], val codes: Array[Array[Int]])
 
   /** `co.unary(j)`: value → count, in canonical order. */
   final class Unary(val dict: Dict) extends AbstractMap[String, Long] with Serializable {

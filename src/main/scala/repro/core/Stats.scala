@@ -11,24 +11,28 @@ import scala.jdk.CollectionConverters._
   * tuples and the sum of their confidence weights (Algorithm 2). NULL is the
   * empty string and is counted like any other value.
   *
-  * One shuffle-free Spark job computes them (`compute`): each task weighs
-  * its tuples by `CompensatoryScore.tupleWeight` and pre-aggregates the
-  * pairs i ≤ j; the driver merges the partials in partition order and
-  * dictionary-encodes them (`Encoded`): per attribute its values in
-  * canonical order, per attribute pair i < j one table of code, count and
-  * weight arrays. CPTs, priors, domains, co-occurrence and corr are all
-  * projections of it.
+  * One shuffle-free Spark job computes them (`compute`): each task reads its
+  * tuples as partition-local value ids, weighs them by
+  * `CompensatoryScore.tupleWeight` and pre-aggregates the pairs i ≤ j; it
+  * returns the partial sums and its tuples. The driver merges the partials
+  * in partition order and dictionary-encodes them (`Encoded`): per
+  * attribute its values in canonical order, per attribute pair i < j one
+  * table of code, count and weight arrays, and the relation as one code
+  * array per attribute, from which `StructureLearner` learns the network.
+  * CPTs, priors, domains, co-occurrence and corr are all projections of it.
   *
-  * @param co   the counts: per attribute, value → count (the diagonal
-  *             i = j); per ordered attribute pair i ≠ j, (c, e) → count
-  * @param corr per ordered attribute pair i ≠ j: (c, e) → Σ weight, over
-  *             pairs with both sides non-NULL; zero sums are dropped. Each
-  *             map reads the table `co.pairs` reads.
+  * @param co       the counts: per attribute, value → count (the diagonal
+  *                 i = j); per ordered attribute pair i ≠ j, (c, e) → count
+  * @param corr     per ordered attribute pair i ≠ j: (c, e) → Σ weight, over
+  *                 pairs with both sides non-NULL; zero sums are dropped.
+  *                 Each map reads the table `co.pairs` reads.
+  * @param relation the tuples the pass read, by code, in input order
   */
 final case class Stats(
     attrs: Seq[String],
     co: CoOccurrence,
     corr: Map[(Int, Int), Map[(String, String), Double]],
+    relation: Encoded.Relation,
 ) {
 
   /** dom(A_j) in canonical order: count descending, then value. The order is
@@ -88,8 +92,15 @@ object Stats {
       if ((0 until t.size).exists(t.observed))
         corr += (i, j) -> new Encoded.Corr(t, transposed = false) += (j, i) -> new Encoded.Corr(t, transposed = true)
     }
-    Stats(attrs, CoOccurrence(enc.dicts.headOption.fold(0L)(_.counts.sum), unary, pairs.result()), corr.result())
+    Stats(attrs, CoOccurrence(enc.dicts.headOption.fold(0L)(_.counts.sum), unary, pairs.result()), corr.result(),
+      enc.relation)
   }
+
+  /** The relation alone, by code: the pass over the diagonal only, so no
+    * attribute pair is summed. One Spark job, no shuffle.
+    */
+  def relation(df: DataFrame, attrs: Seq[String]): Encoded.Relation =
+    pass(df, attrs, (_, _) => 0.0, pairs = false).relation
 
   /** Count and Σ weight of one (i, j, c, e) group; the sum starts at +0.0,
     * as Spark's `sum` does.
@@ -98,69 +109,99 @@ object Stats {
     def add(dn: Long, dw: Double): Unit = { n += dn; w += dw }
   }
 
-  /** One partition's pre-aggregate: entry k is attribute pair `pair(k)` (an
-    * index into the i ≤ j pairs), value pair (c(k), e(k)), `n(k)` rows and
-    * Σ weight `w(k)`. Each distinct value is one String instance, so it is
+  /** One partition's tuples and pre-aggregate, over partition-local value
+    * ids: id x of attribute a is the value `values(a)(x)`, and row r of the
+    * partition holds ids `tuples(r·m + a)`. Entry k is attribute pair
+    * `pair(k)` (an index into the pairs i ≤ j), ids (c(k), e(k)), `n(k)`
+    * rows and Σ weight `w(k)`. Each distinct value of an attribute is
     * serialized once.
     */
-  private final case class Partial(pair: Array[Int], c: Array[String], e: Array[String], n: Array[Long],
-      w: Array[Double])
+  private final case class Partial(values: Array[Array[String]], tuples: Array[Int], pair: Array[Int],
+      c: Array[Int], e: Array[Int], n: Array[Long], w: Array[Double])
 
   /** The merged pass: per attribute its dictionary and the Σ weight of each
     * value (the diagonal, by code); per attribute pair i < j that has
-    * entries, its table.
+    * entries, its table; and the relation by codes.
     */
   private final case class Encoding(dicts: Array[Encoded.Dict], unaryW: Array[Array[Double]],
-      tables: Seq[((Int, Int), Encoded.Table)])
+      tables: Seq[((Int, Int), Encoded.Table)], relation: Encoded.Relation)
 
   /** The pass: one Spark job, no shuffle. Each task reads its rows into
-    * tuples (`Values.ofRow`), weighs each by `weigh(row, tuple)` and sums
-    * per (i, j, c, e) for i ≤ j in row order; the driver adds the partition
-    * sums in partition order, the association of Spark's partial/final
-    * aggregation. The diagonal's counts order each attribute's dictionary;
-    * every other entry is then merged on its codes.
+    * tuples (`Values.ofRow`), gives each value a partition-local id, weighs
+    * each tuple by `weigh(row, tuple)` and sums per (i, j, c, e) in row
+    * order, for the pairs i ≤ j, or for the diagonal alone unless `pairs`.
+    * The driver adds the partition sums in partition order, the association
+    * of Spark's partial/final aggregation. The diagonal's counts order each
+    * attribute's dictionary; every other entry, and every row of the
+    * relation, is then read through its partition's id → code arrays.
     */
-  private def pass(df: DataFrame, attrs: Seq[String], weigh: (Row, Array[String]) => Double): Encoding = {
-    val ij = for { i <- attrs.indices; j <- i until attrs.length } yield (i, j)
+  private def pass(df: DataFrame, attrs: Seq[String], weigh: (Row, Array[String]) => Double,
+      pairs: Boolean = true): Encoding = {
+    val m = attrs.length
+    val ij = for { i <- 0 until m; j <- i until m if pairs || i == j } yield (i, j)
+    val (pi, pj) = (ij.map(_._1).toArray, ij.map(_._2).toArray)
     val idx = attrs.map(df.schema.fieldIndex).toArray
     val partials = df.rdd.mapPartitions { rows =>
-      val sums = Array.fill(ij.length)(new java.util.HashMap[(String, String), Sum])
-      val canon = new java.util.HashMap[String, String]
+      val ids = Array.fill(m)(new java.util.HashMap[String, Integer])
+      val values = Array.fill(m)(mutable.ArrayBuffer.empty[String])
+      val tuples = new mutable.ArrayBuilder.ofInt
+      // Keyed by (id of c) << 32 | (id of e).
+      val sums = Array.fill(ij.length)(mutable.LongMap.empty[Sum])
+      val x = new Array[Int](m)
       rows.foreach { row =>
-        val t = Values.ofRow(row, idx).map(v => canon.computeIfAbsent(v, _ => v))
+        val t = Values.ofRow(row, idx)
         val w = weigh(row, t)
-        ij.indices.foreach { p =>
-          val (i, j) = ij(p)
-          sums(p).computeIfAbsent((t(i), t(j)), _ => new Sum).add(1L, w)
+        var a = 0
+        while (a < m) {
+          val vs = values(a)
+          x(a) = ids(a).computeIfAbsent(t(a), v => { vs += v; Int.box(vs.length - 1) })
+          a += 1
+        }
+        tuples.addAll(x)
+        var p = 0
+        while (p < ij.length) {
+          sums(p).getOrElseUpdate(x(pi(p)).toLong << 32 | x(pj(p)), new Sum).add(1L, w)
+          p += 1
         }
       }
       val size = sums.iterator.map(_.size).sum
-      val out = Partial(new Array(size), new Array(size), new Array(size), new Array(size), new Array(size))
+      val out = Partial(values.map(_.toArray), tuples.result(), new Array(size), new Array(size), new Array(size),
+        new Array(size), new Array(size))
       var k = 0
-      sums.indices.foreach(p => sums(p).forEach { (ce, s) =>
-        out.pair(k) = p; out.c(k) = ce._1; out.e(k) = ce._2; out.n(k) = s.n; out.w(k) = s.w
+      sums.indices.foreach(p => sums(p).foreachEntry { (key, s) =>
+        out.pair(k) = p; out.c(k) = (key >>> 32).toInt; out.e(k) = key.toInt; out.n(k) = s.n; out.w(k) = s.w
         k += 1
       })
       Iterator.single(out)
     }.collect()
 
-    def entries(diagonal: Boolean)(f: (Int, Int, Partial, Int) => Unit): Unit =
-      partials.foreach(part => part.pair.indices.foreach { k =>
-        val (i, j) = ij(part.pair(k))
-        if ((i == j) == diagonal) f(i, j, part, k)
-      })
-    val unary = Array.fill(attrs.length)(new java.util.HashMap[String, Sum])
-    entries(diagonal = true)((i, _, part, k) => unary(i).computeIfAbsent(part.c(k), _ => new Sum).add(part.n(k), part.w(k)))
+    val unary = Array.fill(m)(new java.util.HashMap[String, Sum])
+    partials.foreach(part => part.pair.indices.foreach { k =>
+      val i = pi(part.pair(k))
+      if (i == pj(part.pair(k)))
+        unary(i).computeIfAbsent(part.values(i)(part.c(k)), _ => new Sum).add(part.n(k), part.w(k))
+    })
     val ranked = unary.map(_.asScala.toArray.sortBy { case (v, s) => (-s.n, v) })
-    val dicts = ranked.map(vs => new Encoded.Dict(vs.map(_._1), vs.map(_._2.n)))
+    // A value of several attributes is one String instance, so a serialized
+    // model writes it once.
+    val canon = new java.util.HashMap[String, String]
+    val dicts = ranked.map(vs => new Encoded.Dict(vs.map(v => canon.computeIfAbsent(v._1, x => x)), vs.map(_._2.n)))
+    // Per partition and attribute: local id → code.
+    val codes = partials.map(part => Array.tabulate(m)(a => part.values(a).map(dicts(a).code)))
     // Key (c, e) as code(c) · |dom(A_j)| + code(e): sorting the keys sorts
     // the entries by (c, e).
     val merged = Array.fill(ij.length)(mutable.LongMap.empty[Sum])
-    entries(diagonal = false) { (i, j, part, k) =>
-      val key = dicts(i).code(part.c(k)).toLong * dicts(j).size + dicts(j).code(part.e(k))
-      merged(part.pair(k)).getOrElseUpdate(key, new Sum).add(part.n(k), part.w(k))
+    partials.indices.foreach { q =>
+      val part = partials(q)
+      part.pair.indices.foreach { k =>
+        val (p, i, j) = (part.pair(k), pi(part.pair(k)), pj(part.pair(k)))
+        if (i != j) {
+          val key = codes(q)(i)(part.c(k)).toLong * dicts(j).size + codes(q)(j)(part.e(k))
+          merged(p).getOrElseUpdate(key, new Sum).add(part.n(k), part.w(k))
+        }
+      }
     }
-    val tables = ij.indices.filter(p => ij(p)._1 != ij(p)._2 && merged(p).nonEmpty).map { p =>
+    val tables = ij.indices.filter(p => pi(p) != pj(p) && merged(p).nonEmpty).map { p =>
       val (i, j) = ij(p)
       val keys = merged(p).keys.toArray
       java.util.Arrays.sort(keys)
@@ -169,6 +210,20 @@ object Stats {
       ij(p) -> new Encoded.Table(dicts(i), dicts(j), keys.map(key => (key / dj).toInt), keys.map(key => (key % dj).toInt),
         sums.map(_.n), sums.map(_.w))
     }
-    Encoding(dicts, ranked.map(_.map(_._2.w)), tables)
+    // The relation, column by column, rows in partition order.
+    val ids = partials.map(_.tuples.length).sum
+    val column = Array.fill(m)(new Array[Int](if (m == 0) 0 else ids / m))
+    var base = 0
+    partials.indices.foreach { q =>
+      val (tuples, code) = (partials(q).tuples, codes(q))
+      var k = 0
+      while (k < tuples.length) {
+        val a = k % m
+        column(a)((base + k) / m) = code(a)(tuples(k))
+        k += 1
+      }
+      base += tuples.length
+    }
+    Encoding(dicts, ranked.map(_.map(_._2.w)), tables, new Encoded.Relation(dicts, column))
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.Partitioner
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 import repro.graph.Dag
 import repro.linalg.{GraphicalLasso, Mat}
@@ -10,19 +8,20 @@ import repro.text.Similarity
 /** Automatic Bayesian-network skeleton construction (Section 4).
   *
   * Extends the FDX structure-learning recipe with the paper's softened-FD
-  * similarity: for each attribute A, sort the relation by A and, within each
-  * partition, compute the m-dimensional similarity vector of every adjacent
-  * tuple pair. These vectors are treated as observations of a multivariate
-  * Gaussian; graphical lasso estimates the inverse covariance Θ, which is
-  * decomposed as Θ = (I−B)ᵀΩ⁻¹(I−B) (one elimination in the sink-first
-  * order of Ghoshal–Honorio) to recover the autoregression matrix B. Entries
-  * of B with |weight| ≥ threshold become directed BN edges.
+  * similarity: for each attribute A, sort the relation by A and compute the
+  * m-dimensional similarity vector of every adjacent tuple pair. These
+  * vectors are treated as observations of a multivariate Gaussian;
+  * graphical lasso estimates the inverse covariance Θ, which is decomposed
+  * as Θ = (I−B)ᵀΩ⁻¹(I−B) (one elimination in the sink-first order of
+  * Ghoshal–Honorio) to recover the autoregression matrix B. Entries of B
+  * with |weight| ≥ threshold become directed BN edges.
   *
-  * The pairs are exact: every attribute's sorted block lies in one
-  * partition, so all m·(n−1) adjacent pairs are scored, and ties on the
-  * sorted attribute keep input row order; a Spark NULL is read as the empty
-  * string (`Values.ofRow`) and ties with it. The whole pass — one shuffle
-  * for every attribute's sort plus the covariance fold — runs as one job.
+  * It runs on the driver, over the relation the `Stats` pass collects by
+  * code (`Stats.relation`), so `BClean.buildModel` learns the network from
+  * the one Spark job that counts the model. All m·(n−1) adjacent pairs are
+  * scored; each attribute's sort is a stable counting sort of the row ids,
+  * so ties on the sorted attribute keep input row order, and a Spark NULL
+  * is read as the empty string (`Values.ofRow`) and ties with it.
   */
 object StructureLearner {
 
@@ -34,86 +33,77 @@ object StructureLearner {
   val EdgeThreshold: Double = 0.12 // min |B| weight kept as an edge
   val Ridge: Double = 1e-3         // diagonal ridge for degenerate covariances
 
-  /** Adjacent-pair similarity observations (the FDX trick from the paper's
-    * Remarks: sorting by A brings equal-on-A tuples next to each other, so
-    * only m·(n−1) pairs are scored instead of n²). Returns an RDD of
-    * m-dimensional similarity vectors; partition k holds attribute k's block.
-    *
-    * One shuffle serves every attribute: each row's tuple t is tagged with
-    * its input position (partition, row) and emitted once per attribute
-    * under the key (a, t[a], position). Partitioning on a and sorting within
-    * partitions lays attribute a's whole sorted block out as partition a.
+  /** The row ids of `rel` stably sorted by attribute a's value in `String`
+    * order ("" first): one sort of dom(A_a) ranks its codes, then a
+    * counting sort of the rows on that rank.
     */
-  def similarityObservations(df: DataFrame, attrs: Seq[String]): RDD[Array[Double]] = {
-    val m = attrs.length
-    val idx = attrs.map(df.schema.fieldIndex).toArray
-    val keyed = df.rdd.mapPartitionsWithIndex { (pid, rows) =>
-      rows.zipWithIndex.flatMap { case (r, pos) =>
-        val cur = Values.ofRow(r, idx)
-        Iterator.tabulate(m)(a => ((a, cur(a), pid, pos), cur))
-      }
+  private[core] def sortedRows(rel: Encoded.Relation, a: Int): Array[Int] = {
+    val dict = rel.dicts(a)
+    val codes = rel.codes(a)
+    val byValue = dict.values.sorted
+    val rank = new Array[Int](dict.size)
+    byValue.indices.foreach(r => rank(dict.code(byValue(r))) = r)
+    val next = new Array[Int](dict.size + 1) // rows of rank < r, then the next slot of rank r
+    codes.foreach(x => next(rank(x) + 1) += 1)
+    for (r <- 0 until dict.size) next(r + 1) += next(r)
+    val out = new Array[Int](codes.length)
+    codes.indices.foreach { row =>
+      val r = rank(codes(row))
+      out(next(r)) = row
+      next(r) += 1
     }
-    // "" (NULL) sorts first; ties on t[a] keep input row order, as a stable sort would.
-    val blocks = keyed.repartitionAndSortWithinPartitions(new AttributePartitioner(m))
-    // Each row's values are read as numbers once and carried to the next pair.
-    blocks.mapPartitions { rows =>
-      var prev: Array[String] = null
-      var prevNum: Array[Double] = null
-      rows.flatMap { case (_, cur) =>
-        val num = cur.map(Similarity.numberOrNaN)
-        val out =
-          if (prev == null) Iterator.empty
-          else {
-            val (p, pNum) = (prev, prevNum)
-            Iterator.single(Array.tabulate(m)(i => Similarity.value(p(i), pNum(i), cur(i), num(i))))
-          }
-        prev = cur
-        prevNum = num
-        out
+    out
+  }
+
+  /** Adjacent-pair similarity observations of attribute a's sort (the FDX
+    * trick from the paper's Remarks: sorting by A brings equal-on-A tuples
+    * next to each other, so only n − 1 pairs are scored instead of n²), in
+    * sorted order. Each value is read as a number once per attribute.
+    */
+  def observations(rel: Encoded.Relation, a: Int): Iterator[Array[Double]] = {
+    val m = rel.dicts.length
+    val values = rel.dicts.map(_.values)
+    val nums = values.map(_.map(Similarity.numberOrNaN))
+    val order = sortedRows(rel, a)
+    Iterator.range(1, order.length).map { k =>
+      val (p, q) = (order(k - 1), order(k))
+      Array.tabulate(m) { i =>
+        val (x, y) = (rel.codes(i)(p), rel.codes(i)(q))
+        Similarity.value(values(i)(x), nums(i)(x), values(i)(y), nums(i)(y))
       }
     }
   }
 
-  /** Sends key (a, …) to partition a: one partition per attribute. */
-  private final class AttributePartitioner(m: Int) extends Partitioner {
-    def numPartitions: Int = m
-    def getPartition(key: Any): Int = key match { case (a: Int, _, _, _) => a }
-  }
-
-  /** Empirical covariance of the observations via a single distributed pass.
-    * The per-partition moments are merged in partition order, so for the
-    * output of `similarityObservations` Σ is bit-identical whatever the
-    * shuffle-partition or core count.
+  /** Empirical covariance of every attribute's observations. Each
+    * attribute's moments are summed from +0.0 in sorted order, then added
+    * to the totals in attribute order, so Σ is a function of the relation
+    * and its row order alone.
     */
-  def covariance(obs: RDD[Array[Double]], m: Int): Mat = {
-    val partials = obs
-      .mapPartitions { it =>
-        val sum = new Array[Double](m)
-        val prod = new Array[Double](m * m)
-        var n = 0L
-        it.foreach { v =>
-          n += 1
-          var i = 0
-          while (i < m) {
-            sum(i) += v(i)
-            var j = 0
-            while (j < m) { prod(i * m + j) += v(i) * v(j); j += 1 }
-            i += 1
-          }
-        }
-        if (n == 0) Iterator.empty else Iterator.single((n, sum, prod))
-      }
-      .collect() // ≤ one partial per partition — tiny
+  def covariance(rel: Encoded.Relation): Mat = {
+    val m = rel.dicts.length
     val sum = new Array[Double](m)
-    val prod = new Array[Double](m * m)
-    partials.foreach { case (_, s, p) =>
+    val prod = new Array[Double](m * m) // i ≤ j only; v(i)·v(j) is v(j)·v(i)
+    var n = 0L
+    for (a <- 0 until m) {
+      val s = new Array[Double](m)
+      val p = new Array[Double](m * m)
+      observations(rel, a).foreach { v =>
+        n += 1
+        var i = 0
+        while (i < m) {
+          s(i) += v(i)
+          var j = i
+          while (j < m) { p(i * m + j) += v(i) * v(j); j += 1 }
+          i += 1
+        }
+      }
       for (i <- 0 until m) sum(i) += s(i)
       for (i <- 0 until m * m) prod(i) += p(i)
     }
-    val n = math.max(partials.map(_._1).sum, 1L).toDouble
+    val nd = math.max(n, 1L).toDouble
     val sigma = Mat.zeros(m, m)
     for (i <- 0 until m; j <- 0 until m)
-      sigma(i, j) = prod(i * m + j) / n - (sum(i) / n) * (sum(j) / n)
+      sigma(i, j) = prod(math.min(i, j) * m + math.max(i, j)) / nd - (sum(i) / nd) * (sum(j) / nd)
     sigma
   }
 
@@ -162,12 +152,16 @@ object StructureLearner {
     r
   }
 
-  /** End-to-end skeleton learning. */
-  def learn(df: DataFrame, attrs: Seq[String], cfg: Config = Config()): Dag = {
-    val m = attrs.length
-    val obs = similarityObservations(df, attrs)
-    val sigma = covariance(obs, m)
-    val corr = toCorrelation(sigma)
+  /** End-to-end skeleton learning over `df`: one Spark job collects the
+    * relation (`Stats.relation`), the rest runs on the driver.
+    */
+  def learn(df: DataFrame, attrs: Seq[String], cfg: Config = Config()): Dag =
+    learn(Stats.relation(df, attrs), cfg)
+
+  /** Skeleton learning over a relation the `Stats` pass collected. */
+  def learn(rel: Encoded.Relation, cfg: Config): Dag = {
+    val m = rel.dicts.length
+    val corr = toCorrelation(covariance(rel))
     for (i <- 0 until m) corr(i, i) += Ridge
     val theta = GraphicalLasso.fit(corr, Rho).theta
     val (_, b) = decompose(theta)

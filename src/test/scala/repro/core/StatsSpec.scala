@@ -204,11 +204,12 @@ class StatsSpec extends SparkSpec {
     assert((corrJobs, corrShuffleBytes) == ((1, 0L)))
   }
 
-  test("buildModel starts exactly one job beyond structure learning") {
-    val cfg = BClean.Config.pip
-    val (_, structureJobs) = jobsOf(StructureLearner.learn(dirty, attrs, cfg.structure))
-    val (_, modelJobs) = jobsOf(BClean.buildModel(dirty, attrs, ucs, cfg, userEdits = Seq((0, 1), (1, 2))))
-    assert(modelJobs == structureJobs + 1, s"structure $structureJobs jobs, model $modelJobs jobs")
+  test("buildModel with a learned DAG is one job and writes no shuffle bytes") {
+    val (model, jobs, shuffleBytes) =
+      workOf(BClean.buildModel(dirty, attrs, ucs, BClean.Config.pip, userEdits = Seq((0, 1), (1, 2))))
+    assert((jobs, shuffleBytes) == ((1, 0L)))
+    // The network is the one `learn` finds over the same relation, edited.
+    assert(model.bn.dag == StructureLearner.learn(dirty, attrs).reconcile(Seq((0, 1), (1, 2))))
   }
 
   test("the model and the PIP output do not depend on spark.sql.shuffle.partitions") {

@@ -2,10 +2,13 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.propBoolean
+import repro.SparkSpec
+import repro.data.Benchmarks
 import repro.linalg.Mat
 
 /** ScalaCheck properties of `StructureLearner.decompose` over random
-  * symmetric Θ with p = 1–15 nodes.
+  * symmetric Θ with p = 1–15 nodes, and of Σ and the learned DAG over
+  * random input partitionings of one relation.
   */
 object StructureLearnerProps extends Properties("StructureLearner") {
 
@@ -113,5 +116,40 @@ object StructureLearnerProps extends Properties("StructureLearner") {
     Prop.forAll(genIndefinite) { theta =>
       Prop.throws(classOf[ArithmeticException])(TwoPass.decompose(theta)) &&
         Prop.throws(classOf[ArithmeticException])(StructureLearner.decompose(theta))
+    }
+
+  /** A 300-row Beers block, its rows in `_tid` order. */
+  private lazy val beers = {
+    val ds = Benchmarks.beers(SparkSpec.shared, rows = 300, seed = 5)
+    val df = ds.dirty.selectExpr(("_tid" +: ds.attrs): _*)
+    (df.collect().sortBy(_.getLong(0)).toSeq, df.schema, ds.attrs)
+  }
+
+  /** Σ and the DAG learned from the Beers block, its rows cut into one
+    * input partition per pair of consecutive cuts.
+    */
+  private def learned(cuts: Seq[Int]): (Array[Double], repro.graph.Dag) = {
+    val spark = SparkSpec.shared
+    val (rows, schema, attrs) = beers
+    val bounds = 0 +: cuts :+ rows.length
+    val parts = bounds.sliding(2).map { case Seq(from, until) => rows.slice(from, until) }.toSeq
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(parts, parts.length).flatMap(identity), schema)
+    assert(df.rdd.getNumPartitions == cuts.length + 1)
+    val rel = Stats.relation(df, attrs)
+    (StructureLearner.covariance(rel).data, StructureLearner.learn(rel, StructureLearner.Config()))
+  }
+
+  private lazy val onePartition = learned(Nil)
+
+  /** k sorted cut points in the 300 rows; equal cuts leave a partition empty. */
+  private def genCuts(k: Int): Gen[Seq[Int]] = Gen.listOfN(k, Gen.choose(0, 300)).map(_.sorted)
+
+  property("Σ and the DAG are bit-identical whether the rows come in 1, 3 or 7 partitions") =
+    Prop.forAllNoShrink(genCuts(2), genCuts(6)) { (cuts3, cuts7) =>
+      val (sigma1, dag1) = onePartition
+      Prop.all(Seq(cuts3, cuts7).map { cuts =>
+        val (sigma, dag) = learned(cuts)
+        (java.util.Arrays.equals(sigma, sigma1) && dag == dag1) :| s"cuts $cuts"
+      }: _*)
     }
 }

@@ -34,34 +34,45 @@ class StructureLearnerSpec extends SparkSpec {
     sigma
   }
 
-  test("similarityObservations yields m-dim vectors in [0,1]") {
-    val df = Fixtures.fdTable(spark, 60)
-    val obs = StructureLearner.similarityObservations(df, Fixtures.fdAttrs).collect()
+  /** Every attribute's adjacent-pair observations, attribute by attribute. */
+  private def observations(df: DataFrame, attrs: Seq[String] = attrs): Seq[Seq[Array[Double]]] = {
+    val rel = Stats.relation(df, attrs)
+    attrs.indices.map(a => StructureLearner.observations(rel, a).toSeq)
+  }
+
+  private def covariance(df: DataFrame, attrs: Seq[String] = attrs): Mat =
+    StructureLearner.covariance(Stats.relation(df, attrs))
+
+  test("observations are m-dim vectors in [0,1]") {
+    val obs = observations(Fixtures.fdTable(spark, 60)).flatten
     assert(obs.nonEmpty)
     assert(obs.forall(_.length == 3))
     assert(obs.forall(_.forall(v => v >= 0.0 && v <= 1.0)))
   }
 
-  test("similarityObservations count is ~ m sorts × (n − partitions)") {
-    val df = Fixtures.fdTable(spark, 60).coalesce(1)
-    val obs = StructureLearner.similarityObservations(df, Fixtures.fdAttrs).count()
-    assert(obs == 3 * 59) // one partition → exactly n−1 pairs per sort
-    // Each attribute's block is one partition, so a multi-partition input
-    // loses no pair either: exactly m·(n−1), n−1 in partition k for attribute k.
+  test("n−1 observations per attribute, on 1 or 5 input partitions") {
+    val one = observations(Fixtures.fdTable(spark, 60).coalesce(1))
+    assert(one.map(_.length) == Seq(59, 59, 59))
     val multi = spread(Fixtures.fdTable(spark, 60), 5)
     assert(multi.rdd.getNumPartitions == 5)
-    val blocks = StructureLearner.similarityObservations(multi, attrs)
-    assert(blocks.count() == 3 * 59)
-    assert(blocks.glom().map(_.length).collect().toSeq == Seq(59, 59, 59))
+    assert(observations(multi).map(_.length) == Seq(59, 59, 59))
   }
 
   test("covariance equals a driver-side stable sort over all m·(n−1) pairs") {
     val df = spread(Fixtures.fdTableDirty(spark, 120), 7)
     assert(df.rdd.getNumPartitions == 7)
-    val sigma = StructureLearner.covariance(StructureLearner.similarityObservations(df, attrs), attrs.length)
+    val sigma = covariance(df)
     val ref = referenceCovariance(df)
     for (i <- attrs.indices; j <- attrs.indices)
       assert(math.abs(sigma(i, j) - ref(i, j)) < 1e-12, s"Σ($i,$j) = ${sigma(i, j)}, reference ${ref(i, j)}")
+  }
+
+  test("sortedRows is a stable sort of the row ids by value") {
+    val df = spread(Fixtures.fdTableDirty(spark, 120), 7)
+    val rel = Stats.relation(df, attrs)
+    val rows = df.select(attrs.map(col): _*).collect().map(r => attrs.indices.map(i => Values.norm(r.getString(i))))
+    for (a <- attrs.indices)
+      assert(StructureLearner.sortedRows(rel, a).toSeq == rows.indices.sortBy(r => rows(r)(a)))
   }
 
   test("Σ and the DAG do not depend on spark.sql.shuffle.partitions") {
@@ -69,8 +80,7 @@ class StructureLearnerSpec extends SparkSpec {
     val prev = spark.conf.get("spark.sql.shuffle.partitions")
     def run(partitions: Int): (Seq[Double], repro.graph.Dag) = {
       spark.conf.set("spark.sql.shuffle.partitions", partitions.toString)
-      val sigma = StructureLearner.covariance(StructureLearner.similarityObservations(df, attrs), attrs.length)
-      (sigma.data.toSeq, StructureLearner.learn(df, attrs))
+      (covariance(df).data.toSeq, StructureLearner.learn(df, attrs))
     }
     try {
       val (sigma1, dag1) = run(1)
@@ -91,35 +101,29 @@ class StructureLearnerSpec extends SparkSpec {
       (k.toLong, a, (k * 37 % 101).toString, s"c${k % 9}")
     }.toDF("_tid", "a", "b", "c")
     val attrs = Seq("a", "b", "c")
-    def learned(df: DataFrame) =
-      (StructureLearner.covariance(StructureLearner.similarityObservations(df, attrs), attrs.length).data.toSeq,
-        StructureLearner.learn(df, attrs))
+    def learned(df: DataFrame) = (covariance(df, attrs).data.toSeq, StructureLearner.learn(df, attrs))
     val withNulls = rows(null)
     assert(withNulls.where("a IS NULL").count() == 60 && withNulls.where("a = ''").count() == 60)
     assert(learned(withNulls) == learned(rows(Values.Null)))
   }
 
-  test("learn starts at most two Spark jobs, buildModel at most three") {
-    val dirty = Fixtures.fdTableDirty(spark, 120)
-    val (_, learnJobs) = jobsOf(StructureLearner.learn(dirty, attrs))
-    assert(learnJobs <= 2, s"learn started $learnJobs jobs")
-    val (_, modelJobs) = jobsOf(BClean.buildModel(dirty, attrs, UcSet.empty, BClean.Config.pip))
-    assert(modelJobs <= 3, s"buildModel started $modelJobs jobs")
+  test("learn is one Spark job and writes no shuffle bytes") {
+    val (_, jobs, shuffleBytes) = workOf(StructureLearner.learn(spread(Fixtures.fdTableDirty(spark, 120), 5), attrs))
+    assert((jobs, shuffleBytes) == ((1, 0L)))
   }
 
   test("identical-attribute pairs produce similarity 1") {
     // Sorting by "code" puts equal codes adjacent; their city/state also
     // agree in a clean FD table, so most vector entries are exactly 1.
-    val df = Fixtures.fdTable(spark, 100).coalesce(1)
-    val obs = StructureLearner.similarityObservations(df, Fixtures.fdAttrs).collect()
+    val obs = observations(Fixtures.fdTable(spark, 100).coalesce(1)).flatten
     val ones = obs.map(_.count(_ == 1.0)).sum.toDouble / (obs.length * 3)
     assert(ones > 0.5, s"fraction of exact agreements $ones")
   }
 
   test("covariance matches a DuckDB aggregate") {
     val df = Fixtures.fdTable(spark, 50).coalesce(1)
-    val obs = StructureLearner.similarityObservations(df, Fixtures.fdAttrs)
-    val sigma = StructureLearner.covariance(obs, 3)
+    val obs = observations(df).flatten
+    val sigma = covariance(df)
     // Cross-check one covariance entry against DuckDB over the same vectors.
     import spark.implicits._
     val obsDf = obs.map(a => (a(0), a(1), a(2))).toDF("s0", "s1", "s2")
